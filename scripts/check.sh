@@ -50,6 +50,15 @@ cmp "$tmpdir/lint-disk.txt" "$tmpdir/lint-par.txt"
 echo "==> trace corpus replays byte-exactly (release profile)"
 cargo test -q --release --test corpus_replay
 
+# The benchmark's own ft4096 workload is pinned bit-exactly as well; its
+# generation takes seconds in release, so it is an ignored test run here.
+if [[ "${FAST:-0}" != 1 ]]; then
+    echo "==> workload fingerprints, ft4096 included (release profile)"
+    cargo test -q --release -p p4update-traffic --test workload_fingerprint -- --include-ignored
+else
+    echo "==> ft4096 workload fingerprint skipped (FAST=1)"
+fi
+
 echo "==> heap and calendar queue backends agree on the full corpus"
 cargo test -q --release --test queue_equivalence
 

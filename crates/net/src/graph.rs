@@ -93,9 +93,17 @@ pub struct Topology {
     links: Vec<Link>,
     /// adjacency[v] = sorted list of (neighbor, link id)
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
+    /// Smallest link latency (zero for a link-free topology).
+    min_link_latency: SimDuration,
 }
 
 impl Topology {
+    /// The smallest latency of any link: the cheapest a hop can be, which
+    /// turns hop counts into admissible latency lower bounds.
+    pub(crate) fn min_link_latency(&self) -> SimDuration {
+        self.min_link_latency
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -307,11 +315,18 @@ impl TopologyBuilder {
         for adj in &mut adjacency {
             adj.sort_unstable_by_key(|&(n, _)| n);
         }
+        let min_link_latency = self
+            .links
+            .iter()
+            .map(|l| l.latency)
+            .min()
+            .unwrap_or(SimDuration::ZERO);
         Topology {
             name: self.name,
             nodes: self.nodes,
             links: self.links,
             adjacency,
+            min_link_latency,
         }
     }
 }

@@ -21,4 +21,4 @@ pub use graph::{DirectedLink, Link, LinkId, Node, NodeId, Topology, TopologyBuil
 pub use partition::{
     min_cross_partition_latency, Partitioner, PodPartitioner, SinglePartition, StripePartitioner,
 };
-pub use path::{k_shortest_paths, latency_distances_from, shortest_path, Path};
+pub use path::{hop_distances_from, k_shortest_paths, latency_distances_from, shortest_path, Path};

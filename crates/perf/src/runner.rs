@@ -691,9 +691,8 @@ fn ft32768_updates(topo: &Topology, flows: usize) -> Vec<FlowUpdate> {
         .collect()
 }
 
-/// The 32768-switch scale — feasible only through the partitioned
-/// stack: dense all-pairs path tables would need ~16 GiB (the run uses
-/// [`PathTables::lazy`], and the NormalMs control model never touches a
+/// The 32768-switch scale, run through the partitioned stack: its
+/// [`PathTables`] stay empty (the NormalMs control model never consults a
 /// row), and the sharded windowed engine keeps per-partition state. Runs
 /// `flows` cross-pod migrations (192 for the baseline artifact; CI smoke
 /// uses fewer via `--ft32768-smoke`) under the dual-layer protocol on an
@@ -702,7 +701,7 @@ fn ft32768_updates(topo: &Topology, flows: usize) -> Vec<FlowUpdate> {
 /// [`crate::json::strip_timing`] removes).
 pub fn ft32768_probe(flows: usize) -> Json {
     let topo = topologies::synthetic_fat_tree_32768();
-    let tables = Arc::new(PathTables::lazy(topo.clone()));
+    let tables = Arc::new(PathTables::compute(&topo));
     let updates = ft32768_updates(&topo, flows);
     let config = SimConfig::new(TimingConfig::fat_tree(), 1).with_analysis_gate(false);
     let mut world = NetworkSim::with_path_tables(
@@ -914,6 +913,7 @@ fn scale_to_json(r: &ScaleResult) -> Json {
 mod tests {
     use super::*;
     use crate::json::{strip_timing, validate_report};
+    use p4update_net::{hop_distances_from, latency_distances_from, NodeId};
 
     /// The smallest cell end to end: every system completes the Fig.-1
     /// scale workload, produces events, and reports plausible FCTs.
@@ -1008,6 +1008,59 @@ mod tests {
             err.contains("5x") || err.contains("windows"),
             "unhelpful error: {err}"
         );
+    }
+
+    /// Rows that pool workers race to fill are bit-equal to a sequential
+    /// Dijkstra and BFS from the same source.
+    #[test]
+    fn path_table_rows_filled_concurrently_are_exact() {
+        for topo in [topologies::synthetic_fat_tree_64(), topologies::internet2()] {
+            let n = topo.node_count();
+            let tables = PathTables::compute(&topo);
+            // Consecutive jobs read the same row, so workers meet on it.
+            let seen = parallel_map(n * n, 4, |job| {
+                let (from, to) = (NodeId((job / n) as u32), NodeId((job % n) as u32));
+                (tables.latency_ms(from, to).to_bits(), tables.hops(from, to))
+            });
+            assert_eq!(tables.rows_materialized(), n);
+            for from in topo.node_ids() {
+                let latency = latency_distances_from(&topo, from);
+                let hops = hop_distances_from(&topo, from);
+                for to in topo.node_ids() {
+                    assert_eq!(
+                        seen[from.index() * n + to.index()],
+                        (latency[to.index()].to_bits(), hops[to.index()]),
+                        "{}: {from} -> {to}",
+                        topo.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// A fat-tree pass never consults the tables: control latency is
+    /// `NormalMs` and every switch message goes to a neighbour.
+    #[test]
+    fn fat_tree_pass_fills_no_path_table_row() {
+        let topo = topologies::synthetic_fat_tree_512();
+        let tables = Arc::new(PathTables::compute(&topo));
+        let workload = bench_workload(&topo, 1);
+        let engine = Engine {
+            partitions: 1,
+            coalescing: true,
+        };
+        let system = System::P4Update(Strategy::ForceDual);
+        let m = run_once(
+            &topo,
+            &tables,
+            &workload,
+            dc_timing(&topo),
+            system,
+            1,
+            engine,
+        );
+        assert_eq!(m.fct_ms.len(), workload.updates.len());
+        assert_eq!(tables.rows_materialized(), 0);
     }
 
     /// `parallel_map` preserves input order for every thread count,

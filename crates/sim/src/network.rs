@@ -16,145 +16,74 @@ use p4update_core::{prepare_update, P4UpdateController, P4UpdateLogic, PreparedU
 use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, Switch, SwitchLogic};
 use p4update_des::{ChoiceKind, Scheduler, SimDuration, SimRng, SimTime, Simulation, World};
 use p4update_messages::{ByzDelivery, ByzVector, DataPacket, Message, RejectReason, UfmStatus};
-use p4update_net::{latency_distances_from, FlowId, FlowUpdate, NodeId, Path, Topology, Version};
+use p4update_net::{
+    hop_distances_from, latency_distances_from, FlowId, FlowUpdate, NodeId, Path, Topology, Version,
+};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
-/// All-pairs shortest-path tables (latency and hop count) for a topology.
+/// Shortest-path tables (latency and hop count) for a topology, filled
+/// one source row at a time on first use.
 ///
-/// Computing these is O(n² log n) and was the dominant *setup* cost of a
-/// large-scale run (at ft4096 the tables hold 2 × 4096² entries); they
-/// depend only on the topology, so the scale harness computes them once
-/// per topology and shares them (`Arc`) across every run — and across the
-/// parallel runner's worker threads. The numbers are bit-identical to a
-/// per-run computation, so sharing cannot perturb determinism.
-///
-/// Two storage strategies exist behind one query interface:
-///
-/// - [`PathTables::compute`]: dense all-pairs matrices. Exact and O(1) per
-///   query, but O(n²) memory — at 32768 nodes that is ~16 GiB, which is
-///   what makes the hyper-scale topology infeasible with dense tables.
-/// - [`PathTables::lazy`]: rows are computed on first use and memoized.
-///   DC-style timing barely consults the tables (data forwarding is
-///   link-local and `ControlLatency::NormalMs` never reads them), so the
-///   working set stays tiny even at 32768 switches. Row values are the
-///   same Dijkstra/BFS results the dense path produces, so queries are
-///   bit-identical between the two strategies.
+/// A row holds the Dijkstra latencies ([`latency_distances_from`]) and BFS
+/// hop counts ([`hop_distances_from`]) from one source node. The simulator
+/// consults a row only to time a control message under
+/// `ControlLatency::ShortestPathFrom` or a switch-to-switch message between
+/// non-neighbours. Fat-tree timing does neither (`ControlLatency::NormalMs`,
+/// and every switch message goes to a neighbour), so a whole ft4096 pass
+/// fills no row at all, where a precomputed all-pairs table would hold
+/// 2 × 4096² entries. Rows depend only on the topology: the scale harness
+/// builds one `PathTables` per topology and shares it (`Arc`) across every
+/// run and worker thread. Each row sits in a [`OnceLock`], so concurrent
+/// first uses fill it once and later reads take no lock; the values are
+/// the same whichever thread computes them, so sharing cannot perturb
+/// determinism.
 pub struct PathTables {
-    inner: TablesInner,
+    topo: Topology,
+    rows: Vec<OnceLock<PathRow>>,
 }
 
-/// One memoized row: per-destination latencies and hop counts from a
-/// single source node.
-type PathRow = Arc<(Vec<f64>, Vec<u32>)>;
-
-enum TablesInner {
-    Dense {
-        /// Latency (ms) of the shortest path between every node pair.
-        sp_latency_ms: Vec<Vec<f64>>,
-        /// Hop count of the latency-shortest path between every node pair.
-        sp_hops: Vec<Vec<u32>>,
-    },
-    Lazy {
-        topo: Topology,
-        /// Memoized rows by source node (interior mutability so shared
-        /// `Arc<PathTables>` handles can fill the cache; a poisoned lock
-        /// can only come from a panic mid-row, which aborts the run
-        /// anyway).
-        rows: Mutex<BTreeMap<u32, PathRow>>,
-    },
-}
-
-fn path_row(topo: &Topology, v: NodeId) -> (Vec<f64>, Vec<u32>) {
-    let n = topo.node_count();
-    let lat = latency_distances_from(topo, v);
-    // Hop counts via BFS (good enough for relay cost estimation).
-    let mut hops = vec![u32::MAX; n];
-    hops[v.index()] = 0;
-    let mut queue = std::collections::VecDeque::from([v]);
-    while let Some(x) = queue.pop_front() {
-        for &(y, _) in topo.neighbors(x) {
-            if hops[y.index()] == u32::MAX {
-                hops[y.index()] = hops[x.index()] + 1;
-                queue.push_back(y);
-            }
-        }
-    }
-    (lat, hops)
+/// Per-destination latencies (ms) and hop counts from one source node.
+struct PathRow {
+    latency_ms: Vec<f64>,
+    hops: Vec<u32>,
 }
 
 impl PathTables {
-    /// Compute dense tables for `topo` (Dijkstra per node for latencies,
-    /// BFS per node for hop counts).
+    /// Tables for `topo`, with no row filled yet.
     pub fn compute(topo: &Topology) -> Self {
-        let n = topo.node_count();
-        let mut sp_latency_ms = Vec::with_capacity(n);
-        let mut sp_hops = Vec::with_capacity(n);
-        for v in topo.node_ids() {
-            let (lat, hops) = path_row(topo, v);
-            sp_latency_ms.push(lat);
-            sp_hops.push(hops);
-        }
         PathTables {
-            inner: TablesInner::Dense {
-                sp_latency_ms,
-                sp_hops,
-            },
+            topo: topo.clone(),
+            rows: (0..topo.node_count()).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// Lazily-computed tables over `topo`: rows materialize on first query
-    /// and are memoized. This is what makes `synthetic_fat_tree_32768`
-    /// runnable at all — see the type-level docs.
-    pub fn lazy(topo: Topology) -> Self {
-        PathTables {
-            inner: TablesInner::Lazy {
-                topo,
-                rows: Mutex::new(BTreeMap::new()),
-            },
-        }
-    }
-
-    fn row(topo: &Topology, rows: &Mutex<BTreeMap<u32, PathRow>>, from: NodeId) -> PathRow {
-        let mut cache = rows.lock().expect("path-table cache lock");
-        cache
-            .entry(from.index() as u32)
-            .or_insert_with(|| Arc::new(path_row(topo, from)))
-            .clone()
+    fn row(&self, from: NodeId) -> &PathRow {
+        self.rows[from.index()].get_or_init(|| PathRow {
+            latency_ms: latency_distances_from(&self.topo, from),
+            hops: hop_distances_from(&self.topo, from),
+        })
     }
 
     /// Shortest-path latency (ms) from `from` to `to`.
     pub fn latency_ms(&self, from: NodeId, to: NodeId) -> f64 {
-        match &self.inner {
-            TablesInner::Dense { sp_latency_ms, .. } => sp_latency_ms[from.index()][to.index()],
-            TablesInner::Lazy { topo, rows } => Self::row(topo, rows, from).0[to.index()],
-        }
+        self.row(from).latency_ms[to.index()]
     }
 
-    /// Hop count of the latency-shortest path from `from` to `to`.
+    /// Hop count of a fewest-hop path from `from` to `to`.
     pub fn hops(&self, from: NodeId, to: NodeId) -> u32 {
-        match &self.inner {
-            TablesInner::Dense { sp_hops, .. } => sp_hops[from.index()][to.index()],
-            TablesInner::Lazy { topo, rows } => Self::row(topo, rows, from).1[to.index()],
-        }
+        self.row(from).hops[to.index()]
     }
 
-    /// Number of rows materialized so far (= node count for dense tables).
-    /// The hyper-scale smoke test asserts this stays far below the node
-    /// count, i.e. that lazy tables actually avoid the O(n²) bill.
+    /// Number of source rows filled so far. A fat-tree pass under
+    /// `ControlLatency::NormalMs` leaves this at zero.
     pub fn rows_materialized(&self) -> usize {
-        match &self.inner {
-            TablesInner::Dense { sp_latency_ms, .. } => sp_latency_ms.len(),
-            TablesInner::Lazy { rows, .. } => rows.lock().expect("path-table cache lock").len(),
-        }
+        self.rows.iter().filter(|r| r.get().is_some()).count()
     }
 
-    /// Number of nodes the tables were computed for.
+    /// Number of nodes the tables cover.
     pub fn node_count(&self) -> usize {
-        match &self.inner {
-            TablesInner::Dense { sp_latency_ms, .. } => sp_latency_ms.len(),
-            TablesInner::Lazy { topo, .. } => topo.node_count(),
-        }
+        self.rows.len()
     }
 }
 

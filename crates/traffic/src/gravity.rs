@@ -7,11 +7,20 @@
 use p4update_des::SimRng;
 use p4update_net::NodeId;
 
-/// A synthesized traffic matrix: `demand[i][j]` is the rate from node `i`
-/// to node `j` (zero on the diagonal), in link-capacity units.
+/// A synthesized traffic matrix: [`Self::demand`] is the rate from node
+/// `i` to node `j` (zero on the diagonal), in link-capacity units.
+///
+/// Only the per-node shares and the normalization are stored, so a matrix
+/// over `n` nodes takes O(n) memory; each entry is recomputed on demand
+/// with the same floating-point operations a dense build would perform.
 #[derive(Debug, Clone)]
 pub struct TrafficMatrix {
-    demand: Vec<Vec<f64>>,
+    /// `out_mass[i] / Σ out_mass` per node.
+    out_share: Vec<f64>,
+    /// `in_mass[j] / Σ in_mass` per node.
+    in_share: Vec<f64>,
+    /// Normalization that makes the entries sum to the requested total.
+    scale: f64,
 }
 
 impl TrafficMatrix {
@@ -25,45 +34,57 @@ impl TrafficMatrix {
         let in_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
         let out_sum: f64 = out_mass.iter().sum();
         let in_sum: f64 = in_mass.iter().sum();
-        let mut demand = vec![vec![0.0; n]; n];
+        let out_share: Vec<f64> = out_mass.iter().map(|m| m / out_sum).collect();
+        let in_share: Vec<f64> = in_mass.iter().map(|m| m / in_sum).collect();
+        // Row-major sum of the unnormalized off-diagonal entries; the
+        // order fixes the bits of `scale`.
         let mut sum = 0.0;
-        for i in 0..n {
-            for j in 0..n {
+        for (i, o) in out_share.iter().enumerate() {
+            for (j, d) in in_share.iter().enumerate() {
                 if i != j {
-                    let d = (out_mass[i] / out_sum) * (in_mass[j] / in_sum);
-                    demand[i][j] = d;
-                    sum += d;
+                    sum += o * d;
                 }
             }
         }
-        // Normalize to the requested total.
-        let scale = total / sum;
-        for row in &mut demand {
-            for d in row.iter_mut() {
-                *d *= scale;
-            }
+        TrafficMatrix {
+            out_share,
+            in_share,
+            // Normalize to the requested total.
+            scale: total / sum,
         }
-        TrafficMatrix { demand }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.demand.len()
+        self.out_share.len()
     }
 
     /// True for a zero-node matrix (never produced by [`Self::gravity`]).
     pub fn is_empty(&self) -> bool {
-        self.demand.is_empty()
+        self.out_share.is_empty()
+    }
+
+    fn entry(&self, i: usize, j: usize) -> f64 {
+        let d = if i == j {
+            0.0
+        } else {
+            self.out_share[i] * self.in_share[j]
+        };
+        d * self.scale
     }
 
     /// Demand from `src` to `dst`.
     pub fn demand(&self, src: NodeId, dst: NodeId) -> f64 {
-        self.demand[src.index()][dst.index()]
+        self.entry(src.index(), dst.index())
     }
 
-    /// Total demand across all pairs.
+    /// Total demand across all pairs, summed row-major.
     pub fn total(&self) -> f64 {
-        self.demand.iter().flatten().sum()
+        let n = self.len();
+        (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .map(|(i, j)| self.entry(i, j))
+            .sum()
     }
 }
 
@@ -120,6 +141,50 @@ mod tests {
         let median = values[values.len() / 2];
         let max = *values.last().unwrap();
         assert!(max > 3.0 * median, "max {max} vs median {median}");
+    }
+
+    /// The dense matrix the O(n) representation replaced, built with the
+    /// same RNG draws and operations.
+    fn dense_reference(rng: &mut SimRng, n: usize, total: f64) -> Vec<Vec<f64>> {
+        let out_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
+        let in_mass: Vec<f64> = (0..n).map(|_| rng.exponential(1.0)).collect();
+        let out_sum: f64 = out_mass.iter().sum();
+        let in_sum: f64 = in_mass.iter().sum();
+        let mut demand = vec![vec![0.0; n]; n];
+        let mut sum = 0.0;
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    let d = (out_mass[i] / out_sum) * (in_mass[j] / in_sum);
+                    demand[i][j] = d;
+                    sum += d;
+                }
+            }
+        }
+        let scale = total / sum;
+        for row in &mut demand {
+            for d in row.iter_mut() {
+                *d *= scale;
+            }
+        }
+        demand
+    }
+
+    #[test]
+    fn entries_and_total_are_bit_equal_to_a_dense_build() {
+        for (seed, n) in [(21, 2), (22, 12), (23, 257)] {
+            let total = 37.5 * n as f64;
+            let tm = TrafficMatrix::gravity(&mut SimRng::new(seed), n, total);
+            let dense = dense_reference(&mut SimRng::new(seed), n, total);
+            for (i, row) in dense.iter().enumerate() {
+                for (j, want) in row.iter().enumerate() {
+                    let got = tm.demand(NodeId(i as u32), NodeId(j as u32));
+                    assert_eq!(got.to_bits(), want.to_bits(), "n = {n}: ({i}, {j})");
+                }
+            }
+            let want: f64 = dense.iter().flatten().sum();
+            assert_eq!(tm.total().to_bits(), want.to_bits(), "n = {n}: total");
+        }
     }
 
     #[test]

@@ -114,10 +114,10 @@ for old in v1 v2 v3; do
     fi
 done
 
-# The 32768-switch scale only exists through the partitioned engine (its
-# dense path tables would need ~16 GiB); the smoke probe proves the lazy
-# tables + pod cut path still works end to end. Skippable for quick local
-# iteration with FAST=1 — CI runs it.
+# The 32768-switch scale only exists through the partitioned engine (all-pairs
+# path tables would need ~16 GiB; the on-demand tables fill no row); the smoke
+# probe proves the pod cut path still works end to end. Skippable for quick
+# local iteration with FAST=1 — CI runs it.
 if [[ "${FAST:-0}" != 1 ]]; then
     echo "==> ft32768 partitioned-only scale smoke (32 flows)"
     cargo run -q --release --example perf -- --ft32768-smoke 32 > /dev/null

@@ -10,7 +10,9 @@
 //! and static three-level priorities ([`ez_prepare_congestion`]) — the
 //! computation Fig. 8b shows P4Update avoiding.
 
-use p4update_dataplane::{ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLogic, SwitchState};
+use p4update_dataplane::{
+    capacity_fits, ControllerLogic, CtrlEffect, Effect, Endpoint, SwitchLogic, SwitchState,
+};
 use p4update_des::SimTime;
 use p4update_messages::{EzMsg, EzPriority, EzSegmentKind, Message};
 use p4update_net::{FlowId, FlowUpdate, NodeId, Version};
@@ -232,7 +234,7 @@ pub fn ez_prepare_congestion(
         let mut free = cap;
         for i in 0..m {
             if entities[i].claims.contains(&e) {
-                if free + 1e-9 < entities[i].size {
+                if !capacity_fits(free, entities[i].size) {
                     for &j in &leaving {
                         if entities[i].flow != entities[j].flow {
                             base[i * m + j] = true;
@@ -485,7 +487,7 @@ impl EzSwitchLogic {
                     .get(&(f, s))
                     .is_some_and(|r| r.priority > my_prio)
             });
-            if remaining + 1e-9 < role.size || higher_waiting {
+            if !capacity_fits(remaining, role.size) || higher_waiting {
                 let q = self.parked.entry(to).or_default();
                 if !q.contains(&(flow, segment)) {
                     q.push((flow, segment));

@@ -18,7 +18,7 @@
 //! (`flow_priority` register) and are read through a callback so tests can
 //! drive it without a full switch.
 
-use p4update_dataplane::FlowPriority;
+use p4update_dataplane::{capacity_fits, FlowPriority};
 use p4update_net::{FlowId, NodeId};
 use std::collections::BTreeMap;
 
@@ -54,7 +54,8 @@ impl CongestionScheduler {
     }
 
     /// Decide whether `flow` (with `size` and `priority`) may move onto the
-    /// link toward `to`, given `remaining` capacity there.
+    /// link toward `to`, given `remaining` capacity there. A size that no
+    /// link can reserve (negative, NaN or infinite) is blocked.
     pub fn admit(
         &self,
         flow: FlowId,
@@ -64,7 +65,7 @@ impl CongestionScheduler {
         priority: FlowPriority,
         priority_of: impl Fn(FlowId) -> FlowPriority,
     ) -> Admission {
-        if remaining + 1e-9 < size {
+        if !capacity_fits(remaining, size) {
             return Admission::Blocked(BlockReason::NoCapacity);
         }
         if priority == FlowPriority::High {
@@ -147,6 +148,22 @@ mod tests {
             s.admit(FlowId(1), NodeId(0), 5.0, 5.0, FlowPriority::Low, lows),
             Admission::Go
         );
+        // No capacity admits a size no link can reserve, even for a
+        // high-priority flow.
+        for (size, remaining) in [(f64::NAN, 4.0), (-1.0, 4.0), (1.0, f64::NAN)] {
+            assert_eq!(
+                s.admit(
+                    FlowId(1),
+                    NodeId(0),
+                    size,
+                    remaining,
+                    FlowPriority::High,
+                    lows
+                ),
+                Admission::Blocked(BlockReason::NoCapacity),
+                "size {size}, remaining {remaining}"
+            );
+        }
     }
 
     #[test]

@@ -24,6 +24,6 @@ mod switch;
 mod uib;
 
 pub use logic::{ControllerLogic, CtrlEffect, DropReason, Effect, Endpoint, SwitchLogic};
-pub use state::SwitchState;
+pub use state::{capacity_fits, SwitchState};
 pub use switch::Switch;
 pub use uib::{FlowPriority, Uib, UibEntry};

@@ -5,6 +5,13 @@ use crate::uib::Uib;
 use p4update_net::{NodeId, Topology};
 use std::collections::BTreeMap;
 
+/// Whether `size` units fit into `free` remaining capacity (with 1e-9 of
+/// slack for float noise). A negative or non-finite size never fits:
+/// reserving one would grow the link's capacity or turn it into NaN.
+pub fn capacity_fits(free: f64, size: f64) -> bool {
+    size.is_finite() && size >= 0.0 && free + 1e-9 >= size
+}
+
 /// The mutable state of one switch, shared between the chassis (data-packet
 //  forwarding) and the pluggable update logic.
 #[derive(Debug, Clone)]
@@ -49,14 +56,15 @@ impl SwitchState {
     /// targets never fit.
     pub fn capacity_suffices(&self, neighbor: NodeId, size: f64) -> bool {
         self.remaining_capacity(neighbor)
-            .is_some_and(|c| c + 1e-9 >= size)
+            .is_some_and(|c| capacity_fits(c, size))
     }
 
     /// Reserve `size` units toward `neighbor`. Returns `false` (and
-    /// reserves nothing) when capacity is insufficient.
+    /// reserves nothing) when capacity is insufficient or `size` is
+    /// negative or not finite.
     pub fn reserve_capacity(&mut self, neighbor: NodeId, size: f64) -> bool {
         match self.capacity.get_mut(&neighbor) {
-            Some(c) if *c + 1e-9 >= size => {
+            Some(c) if capacity_fits(*c, size) => {
                 *c -= size;
                 true
             }
@@ -135,6 +143,19 @@ mod tests {
         assert!(s.capacity_suffices(NodeId(1), 10.0));
         assert!(s.reserve_capacity(NodeId(1), 10.0));
         assert!(!s.reserve_capacity(NodeId(1), 0.5));
+    }
+
+    #[test]
+    fn reserve_refuses_negative_and_non_finite_sizes() {
+        let t = line3();
+        let mut s = SwitchState::new(NodeId(1), &t);
+        for size in [-1.0, -1e-12, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!s.capacity_suffices(NodeId(2), size), "size {size}");
+            assert!(!s.reserve_capacity(NodeId(2), size), "size {size}");
+            assert_eq!(s.remaining_capacity(NodeId(2)), Some(4.0), "size {size}");
+        }
+        assert!(s.reserve_capacity(NodeId(2), 0.0));
+        assert_eq!(s.remaining_capacity(NodeId(2)), Some(4.0));
     }
 
     #[test]

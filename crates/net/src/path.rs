@@ -184,11 +184,16 @@ fn edge_banned(banned_edges: &[(NodeId, NodeId)], a: NodeId, b: NodeId) -> bool 
 /// The one shortest-path search: Dijkstra over link latency with banned
 /// nodes and edges (Yen's spur computation), optional pruning, and
 /// deterministic ties (pop order `(cost, id)`; an equal-cost relaxation
-/// from a smaller node id takes over the predecessor). Buffers are reused
-/// across searches; only the entries a search touched are reset.
+/// from a smaller node id takes over the predecessor of a node that has not
+/// popped yet). Buffers are reused across searches; only the entries a
+/// search touched are reset.
 struct Search {
     dist: Vec<f64>,
     prev: Vec<Option<NodeId>>,
+    /// Nodes that have popped: their distance and predecessor are final.
+    /// Only a 0 ms link could otherwise reach one again at equal cost, and
+    /// two such nodes could become each other's predecessor.
+    settled: Vec<bool>,
     /// Nodes the next search must not enter.
     banned: Vec<bool>,
     touched: Vec<NodeId>,
@@ -208,6 +213,7 @@ impl Search {
         Search {
             dist: vec![f64::INFINITY; n],
             prev: vec![None; n],
+            settled: vec![false; n],
             banned: vec![false; n],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
@@ -238,6 +244,7 @@ impl Search {
         for v in self.touched.drain(..) {
             self.dist[v.index()] = f64::INFINITY;
             self.prev[v.index()] = None;
+            self.settled[v.index()] = false;
         }
         self.heap.clear();
         if self.banned[src.index()] || dst.is_some_and(|d| self.banned[d.index()]) {
@@ -248,11 +255,15 @@ impl Search {
             if cost > self.dist[node.index()] {
                 continue;
             }
+            self.settled[node.index()] = true;
             if Some(node) == dst {
                 break;
             }
             for &(next, link) in topo.neighbors(node) {
-                if self.banned[next.index()] || edge_banned(banned_edges, node, next) {
+                if self.settled[next.index()]
+                    || self.banned[next.index()]
+                    || edge_banned(banned_edges, node, next)
+                {
                     continue;
                 }
                 let nd = cost + topo.link(link).latency.as_millis_f64();
@@ -646,9 +657,10 @@ mod tests {
     fn yen_matches_the_oracle_with_zero_latency_ties() {
         // A 3×3 grid of 1 ms links (many equal-cost routes between
         // opposite corners) plus two bridge nodes joined by a 0 ms link.
-        // The zero link joins the two largest ids: a pair of equal-distance
-        // nodes on a zero link can otherwise take each other as predecessor,
-        // and then both searches loop forever rebuilding the path.
+        // The zero link joins the two largest ids, so no settled node is
+        // reached again at equal cost: the oracle still relaxes settled
+        // nodes, and on such a tie it could make a predecessor cycle (see
+        // `zero_latency_ties_do_not_make_predecessor_cycles`).
         let mut b = TopologyBuilder::new("zero-ties");
         let v: Vec<_> = (0..11).map(|i| b.add_node(format!("g{i}"))).collect();
         let one = SimDuration::from_millis(1);
@@ -693,6 +705,168 @@ mod tests {
             }
             assert_all_pairs_match_oracle(&b.build());
         }
+    }
+
+    /// Run `f` on its own thread and fail, rather than hang, when it does
+    /// not return within a generous bound. A thread that times out is left
+    /// detached: nothing can stop it.
+    fn terminates<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done, finished) = channel::<()>();
+        // The sender drops when `f` returns or panics, ending the wait.
+        let worker = std::thread::spawn(move || {
+            let _done = done;
+            f()
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(
+            waited != Err(RecvTimeoutError::Timeout),
+            "the search did not terminate"
+        );
+        worker
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// Nodes 0 and 1 sit at the same distance from 4 and share a 0 ms
+    /// link, and each one's first predecessor (3 and 2) has a larger id than
+    /// the other. Relaxing a settled node again would make 0 and 1 each
+    /// other's predecessor, so rebuilding the path to 5 would never end.
+    fn zero_latency_cycle() -> Topology {
+        let mut b = TopologyBuilder::new("zero-cycle");
+        let v: Vec<_> = (0..6).map(|i| b.add_node(format!("z{i}"))).collect();
+        let one = SimDuration::from_millis(1);
+        b.add_link(v[4], v[3], one, 10.0);
+        b.add_link(v[3], v[0], one, 10.0);
+        b.add_link(v[4], v[2], one, 10.0);
+        b.add_link(v[2], v[1], one, 10.0);
+        b.add_link(v[0], v[1], SimDuration::ZERO, 10.0);
+        b.add_link(v[0], v[5], one, 10.0);
+        b.build()
+    }
+
+    /// Every predecessor chain of a full search from `src` reaches `src`
+    /// within `n` steps. Checked before any path is rebuilt, so a cycle
+    /// fails the test instead of growing a path without end.
+    fn assert_predecessors_reach(t: &Topology, src: NodeId) {
+        let mut search = Search::new(t.node_count());
+        search.run(t, src, None, &[], &Prune::NONE);
+        for v in t.node_ids() {
+            let mut cur = v;
+            for _ in 0..t.node_count() {
+                if cur == src {
+                    break;
+                }
+                cur = search.prev[cur.index()].expect("connected");
+            }
+            assert_eq!(
+                cur, src,
+                "{}: the predecessor chain from {v} cycles",
+                t.name
+            );
+        }
+    }
+
+    #[test]
+    fn zero_latency_ties_do_not_make_predecessor_cycles() {
+        assert_predecessors_reach(&zero_latency_cycle(), NodeId(4));
+        let (shortest, yen) = terminates(|| {
+            let t = zero_latency_cycle();
+            (
+                shortest_path(&t, NodeId(4), NodeId(5)),
+                k_shortest_paths(&t, NodeId(4), NodeId(5), 3),
+            )
+        });
+        let p = |ids: &[u32]| Path::new(ids.iter().map(|&i| NodeId(i)).collect());
+        assert_eq!(shortest, Some(p(&[4, 3, 0, 5])));
+        assert_eq!(yen, vec![p(&[4, 3, 0, 5]), p(&[4, 2, 1, 0, 5])]);
+    }
+
+    /// Latencies of every simple path from `src` to `dst`, cheapest first.
+    fn all_simple_path_costs(topo: &Topology, src: NodeId, dst: NodeId) -> Vec<f64> {
+        fn walk(
+            t: &Topology,
+            at: NodeId,
+            dst: NodeId,
+            cost: f64,
+            on: &mut Vec<bool>,
+            out: &mut Vec<f64>,
+        ) {
+            if at == dst {
+                out.push(cost);
+                return;
+            }
+            on[at.index()] = true;
+            for &(next, link) in t.neighbors(at) {
+                if !on[next.index()] {
+                    let c = cost + t.link(link).latency.as_millis_f64();
+                    walk(t, next, dst, c, on, out);
+                }
+            }
+            on[at.index()] = false;
+        }
+        let mut costs = Vec::new();
+        walk(
+            topo,
+            src,
+            dst,
+            0.0,
+            &mut vec![false; topo.node_count()],
+            &mut costs,
+        );
+        costs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        costs
+    }
+
+    /// Small random graphs with many 0 ms links: the searches terminate,
+    /// `shortest_path` costs what the distance search says, and Yen's paths
+    /// are distinct simple paths whose latencies are the `k` smallest of an
+    /// exhaustive enumeration.
+    #[test]
+    fn yen_matches_exhaustive_enumeration_with_zero_latency_links() {
+        terminates(|| {
+            let mut rng = SimRng::new(23);
+            for round in 0..60 {
+                let n = 4 + rng.uniform_usize(4);
+                let mut b = TopologyBuilder::new(format!("zero-{round}"));
+                let v: Vec<_> = (0..n).map(|i| b.add_node(format!("z{i}"))).collect();
+                let lat = |rng: &mut SimRng| SimDuration::from_millis(rng.uniform_usize(3) as u64);
+                for i in 1..n {
+                    let j = rng.uniform_usize(i);
+                    b.add_link(v[i], v[j], lat(&mut rng), 10.0);
+                }
+                for _ in 0..n {
+                    let (i, j) = (rng.uniform_usize(n), rng.uniform_usize(n));
+                    if i != j && !b.has_link(v[i], v[j]) {
+                        b.add_link(v[i], v[j], lat(&mut rng), 10.0);
+                    }
+                }
+                let t = b.build();
+                for src in t.node_ids() {
+                    assert_predecessors_reach(&t, src);
+                    let dist = latency_distances_from(&t, src);
+                    for dst in t.node_ids().filter(|&d| d != src) {
+                        let shortest = shortest_path(&t, src, dst).expect("connected");
+                        assert_eq!(
+                            shortest.total_latency(&t).as_millis_f64(),
+                            dist[dst.index()]
+                        );
+                        let all = all_simple_path_costs(&t, src, dst);
+                        let yen = k_shortest_paths(&t, src, dst, 4);
+                        assert_eq!(yen.len(), all.len().min(4), "{src} -> {dst}");
+                        for (i, path) in yen.iter().enumerate() {
+                            assert!(path.validate(&t), "{src} -> {dst}: non-adjacent hops");
+                            assert!(!yen[..i].contains(path), "{src} -> {dst}: repeated path");
+                            assert_eq!(
+                                path.total_latency(&t).as_millis_f64(),
+                                all[i],
+                                "{src} -> {dst}"
+                            );
+                        }
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -102,6 +102,18 @@ else
     echo "==> per-window overhead smoke skipped (FAST=1)"
 fi
 
+# The repository benchmark (p4bench/) is a package of its own that nothing
+# above builds; a one-second central-ft4096 run proves it still compiles
+# against the facade and that every one of its output checks passes.
+if [[ "${FAST:-0}" != 1 ]]; then
+    echo "==> p4bench builds and its central-ft4096 output checks pass (1 s run)"
+    cargo build --release --offline -q --manifest-path p4bench/Cargo.toml
+    cargo run --release --offline -q --manifest-path p4bench/Cargo.toml -- \
+        --workload central-ft4096 --seed 1 --seconds 1 --trace 0 > /dev/null
+else
+    echo "==> p4bench smoke skipped (FAST=1)"
+fi
+
 echo "==> committed BENCH_p4update.json validates against the schema (v4)"
 cargo run -q --release --example perf -- --check BENCH_p4update.json
 

@@ -133,7 +133,7 @@ fn wrong_kind_in_uim() {
 fn unusable_flow_size() {
     let mut plan = fig1_plan();
     plan.uims[0].1.flow_size = f64::NAN;
-    // NaN also breaks wire round-trip equality, so two codes fire.
+    // The wire decoder also refuses a NaN flow size, so two codes fire.
     let codes = error_codes(&plan);
     assert!(codes.contains(&Code::BadFlowSize), "{codes:?}");
 

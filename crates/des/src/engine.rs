@@ -27,36 +27,22 @@ pub trait World {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// Routes an event to the index of the queue partition that owns it (see
-/// [`Scheduler::set_partitions`]); indices out of range are clamped.
-pub type EventRouter<E> = Box<dyn FnMut(&E) -> usize + Send>;
-
 /// The event queue handed to [`World::handle`]; schedules future events.
 ///
 /// Event storage is a pluggable [`crate::EventQueue`] backend selected via
 /// [`QueueBackend`] (calendar queue by default, binary heap on request);
-/// both realize the identical `(time, seq)` delivery order. Pending/peak
-/// counters are tracked here, independent of the backend, so observability
+/// both realize the identical `(time, seq)` delivery order. The peak
+/// counter is tracked here, independent of the backend, so observability
 /// (e.g. [`Simulation::peak_queue_depth`]) is backend-invariant by
 /// construction.
 pub struct Scheduler<E> {
     queue: QueueImpl<E>,
-    /// Extra per-partition queues (partitions `1..n`); empty in the default
-    /// single-partition configuration, in which case `queue` is the whole
-    /// story and the hot paths are exactly the pre-partitioning ones.
-    shards: Vec<QueueImpl<E>>,
-    /// Routes an event to its partition index (clamped to the shard count).
-    /// Only consulted when `shards` is non-empty.
-    router: Option<EventRouter<E>>,
     next_seq: u64,
     now: SimTime,
     chooser: Box<dyn Chooser>,
     /// Cached [`Chooser::is_trivial`] so the hot pop path branches on a
     /// plain bool instead of making a virtual call per event.
     trivial: bool,
-    /// Total pending events across all shards (maintained incrementally so
-    /// sharding doesn't turn `pending()` into a sum loop).
-    pending: usize,
     peak_pending: usize,
 }
 
@@ -77,67 +63,12 @@ impl<E> Scheduler<E> {
     pub fn with_backend(backend: QueueBackend) -> Self {
         Scheduler {
             queue: QueueImpl::new(backend),
-            shards: Vec::new(),
-            router: None,
             next_seq: 0,
             now: SimTime::ZERO,
             chooser: Box::new(FifoChooser),
             trivial: true,
-            pending: 0,
             peak_pending: 0,
         }
-    }
-
-    /// Shard the pending-event queue into `partitions` per-partition queues,
-    /// with `router` mapping each event to its partition (out-of-range
-    /// results clamp to the last partition). Any already-pending events are
-    /// migrated with their `(time, seq)` keys intact.
-    ///
-    /// Delivery order is **byte-identical** to the unsharded scheduler at
-    /// any partition count: every pop takes the global minimum `(time, seq)`
-    /// key across shards, and tie-gathering for a non-trivial [`Chooser`]
-    /// collects same-time events from *all* shards and presents them in
-    /// global sequence order — never in shard-scan order.
-    pub fn set_partitions(&mut self, partitions: usize, router: EventRouter<E>) {
-        assert!(partitions >= 1, "at least one partition is required");
-        let backend = self.queue.backend();
-        let mut old = std::mem::replace(&mut self.queue, QueueImpl::new(backend));
-        let mut old_shards = std::mem::take(&mut self.shards);
-        self.shards = (1..partitions).map(|_| QueueImpl::new(backend)).collect();
-        self.router = Some(router);
-        while let Some((at, seq, event)) = old.pop() {
-            self.route_push(at, seq, event);
-        }
-        for mut shard in old_shards.drain(..) {
-            while let Some((at, seq, event)) = shard.pop() {
-                self.route_push(at, seq, event);
-            }
-        }
-    }
-
-    /// Number of partitions the queue is sharded into (1 = unsharded).
-    pub fn partitions(&self) -> usize {
-        self.shards.len() + 1
-    }
-
-    /// Push with an explicit key into the shard the router assigns.
-    fn route_push(&mut self, at: SimTime, seq: u64, event: E) {
-        if self.shards.is_empty() {
-            self.queue.push(at, seq, event);
-        } else {
-            let r = self
-                .router
-                .as_mut()
-                .map(|route| route(&event))
-                .unwrap_or(0)
-                .min(self.shards.len());
-            if r == 0 {
-                self.queue.push(at, seq, event);
-            } else {
-                self.shards[r - 1].push(at, seq, event);
-            }
-        }
-        self.pending += 1;
     }
 
     /// The queue backend in use.
@@ -151,32 +82,18 @@ impl<E> Scheduler<E> {
         if self.queue.backend() == backend {
             return;
         }
-        let migrate = |queue: &mut QueueImpl<E>| {
-            let mut next = QueueImpl::new(backend);
-            next.reserve(queue.len());
-            while let Some((at, seq, event)) = queue.pop() {
-                next.push(at, seq, event);
-            }
-            *queue = next;
-        };
-        migrate(&mut self.queue);
-        for shard in &mut self.shards {
-            migrate(shard);
+        let mut next = QueueImpl::new(backend);
+        next.reserve(self.queue.len());
+        while let Some((at, seq, event)) = self.queue.pop() {
+            next.push(at, seq, event);
         }
+        self.queue = next;
     }
 
     /// Reserve queue capacity up front so steady-state runs never reallocate
     /// mid-simulation. The hint reaches whichever backend is installed.
     pub fn reserve(&mut self, capacity: usize) {
-        if self.shards.is_empty() {
-            self.queue.reserve(capacity);
-        } else {
-            let per = capacity / (self.shards.len() + 1) + 1;
-            self.queue.reserve(per);
-            for shard in &mut self.shards {
-                shard.reserve(per);
-            }
-        }
+        self.queue.reserve(capacity);
     }
 
     /// Replace the choice-point policy (tie-breaks and world-level
@@ -219,22 +136,13 @@ impl<E> Scheduler<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.route_push(at, seq, event);
-        if self.pending > self.peak_pending {
-            self.peak_pending = self.pending;
-        }
-    }
-
-    /// Re-insert an event with its original key after a pop (horizon
-    /// push-back). Not a new scheduling: pending returns to its pre-pop
-    /// value, so the peak high-water mark is untouched.
-    fn unpop(&mut self, at: SimTime, seq: u64, event: E) {
-        self.route_push(at, seq, event);
+        self.queue.push(at, seq, event);
+        self.peak_pending = self.peak_pending.max(self.queue.len());
     }
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.pending
+        self.queue.len()
     }
 
     /// High-water mark of the pending-event queue over the whole run — the
@@ -245,24 +153,12 @@ impl<E> Scheduler<E> {
 
     /// Remove and return the next event to deliver.
     ///
-    /// With the trivial (FIFO) chooser this is a plain heap pop. With an
+    /// With the trivial (FIFO) chooser this is a plain queue pop. With an
     /// exploring chooser, all events tied at the earliest timestamp are
     /// gathered in FIFO order and presented as a [`ChoiceKind::TieBreak`]
     /// choice point; the unchosen ones go back on the queue (their original
     /// sequence numbers keep the relative FIFO order stable).
     fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        let popped = if self.shards.is_empty() {
-            self.pop_single()
-        } else {
-            self.pop_sharded()
-        };
-        if popped.is_some() {
-            self.pending -= 1;
-        }
-        popped
-    }
-
-    fn pop_single(&mut self) -> Option<(SimTime, u64, E)> {
         if self.trivial {
             return self.queue.pop();
         }
@@ -274,71 +170,12 @@ impl<E> Scheduler<E> {
         while self.queue.peek_key().is_some_and(|(t, _)| t == at) {
             tied.push(self.queue.pop().expect("peeked event exists"));
         }
-        self.resolve_tie(tied, None)
-    }
-
-    /// Pop across partitioned queues: the global minimum `(time, seq)` key
-    /// wins, so sharding is invisible in the delivered order.
-    fn pop_sharded(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.trivial {
-            let mut best: Option<(SimTime, u64, usize)> = None;
-            if let Some((t, s)) = self.queue.peek_key() {
-                best = Some((t, s, 0));
-            }
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                if let Some((t, s)) = shard.peek_key() {
-                    if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                        best = Some((t, s, i + 1));
-                    }
-                }
-            }
-            let (_, _, idx) = best?;
-            return if idx == 0 {
-                self.queue.pop()
-            } else {
-                self.shards[idx - 1].pop()
-            };
-        }
-        // Non-trivial chooser: gather the tie set at the earliest timestamp
-        // from *every* shard, then order it by global sequence number. A
-        // shard-scan order here would leak the partitioning into the
-        // choice-point arity/indexing, breaking trace replay.
-        let mut at: Option<SimTime> = None;
-        if let Some((t, _)) = self.queue.peek_key() {
-            at = Some(t);
-        }
-        for shard in &mut self.shards {
-            if let Some((t, _)) = shard.peek_key() {
-                if at.is_none_or(|a| t < a) {
-                    at = Some(t);
-                }
-            }
-        }
-        let at = at?;
-        let mut tied: Vec<(SimTime, u64, E, usize)> = Vec::new();
-        while self.queue.peek_key().is_some_and(|(t, _)| t == at) {
-            let (t, s, e) = self.queue.pop().expect("peeked event exists");
-            tied.push((t, s, e, 0));
-        }
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            while shard.peek_key().is_some_and(|(t, _)| t == at) {
-                let (t, s, e) = shard.pop().expect("peeked event exists");
-                tied.push((t, s, e, i + 1));
-            }
-        }
-        tied.sort_by_key(|&(_, seq, _, _)| seq);
-        let shards_of: Vec<usize> = tied.iter().map(|&(_, _, _, shard)| shard).collect();
-        let tied: Vec<(SimTime, u64, E)> = tied.into_iter().map(|(t, s, e, _)| (t, s, e)).collect();
-        self.resolve_tie(tied, Some(shards_of))
+        self.resolve_tie(tied)
     }
 
     /// Present a FIFO-ordered tie set to the chooser; push the unchosen
-    /// events back where they came from (original keys intact).
-    fn resolve_tie(
-        &mut self,
-        mut tied: Vec<(SimTime, u64, E)>,
-        shards_of: Option<Vec<usize>>,
-    ) -> Option<(SimTime, u64, E)> {
+    /// events back (original keys intact).
+    fn resolve_tie(&mut self, mut tied: Vec<(SimTime, u64, E)>) -> Option<(SimTime, u64, E)> {
         let pick = if tied.len() == 1 {
             0
         } else {
@@ -351,12 +188,8 @@ impl<E> Scheduler<E> {
             pick
         };
         let chosen = tied.remove(pick);
-        for (i, (t, seq, event)) in tied.into_iter().enumerate() {
-            let src = i + usize::from(i >= pick);
-            match shards_of.as_ref().map(|s| s[src]).unwrap_or(0) {
-                0 => self.queue.push(t, seq, event),
-                s => self.shards[s - 1].push(t, seq, event),
-            }
+        for (t, seq, event) in tied {
+            self.queue.push(t, seq, event);
         }
         Some(chosen)
     }
@@ -447,19 +280,6 @@ impl<W: World> Simulation<W> {
         self
     }
 
-    /// Shard the event queue by partition (see [`Scheduler::set_partitions`]).
-    /// Delivery order — including tie-break choice points — is byte-identical
-    /// to the unsharded simulation at any partition count.
-    pub fn with_partitions(mut self, partitions: usize, router: EventRouter<W::Event>) -> Self {
-        self.sched.set_partitions(partitions, router);
-        self
-    }
-
-    /// Number of event-queue partitions (1 = unsharded).
-    pub fn partitions(&self) -> usize {
-        self.sched.partitions()
-    }
-
     /// Immutable access to the world.
     pub fn world(&self) -> &W {
         &self.world
@@ -488,11 +308,6 @@ impl<W: World> Simulation<W> {
     /// High-water mark of pending events (see [`Scheduler::peak_pending`]).
     pub fn peak_queue_depth(&self) -> usize {
         self.sched.peak_pending()
-    }
-
-    /// Events currently pending across all queue partitions.
-    pub fn pending_events(&self) -> usize {
-        self.sched.pending()
     }
 
     /// Seed the queue before running.
@@ -524,7 +339,7 @@ impl<W: World> Simulation<W> {
             if at > horizon {
                 // Push back (original key intact): a later `run_until` with
                 // a larger horizon must still see this event, in order.
-                self.sched.unpop(at, seq, event);
+                self.sched.queue.push(at, seq, event);
                 return RunOutcome::HorizonReached {
                     horizon,
                     events: self.events_delivered,
@@ -832,131 +647,6 @@ mod tests {
         }
         assert!(expected.run().drained());
         assert_eq!(sim.world().seen, expected.world().seen);
-    }
-
-    /// A churn workload (self-scheduling chains with deliberate time
-    /// collisions) delivers identically at any partition count.
-    #[test]
-    fn sharded_queue_matches_unsharded_on_churn() {
-        struct Churn {
-            seen: Vec<(SimTime, u32)>,
-        }
-        impl World for Churn {
-            type Event = u32;
-            fn handle(&mut self, now: SimTime, e: u32, sched: &mut Scheduler<u32>) {
-                self.seen.push((now, e));
-                if !e.is_multiple_of(3) {
-                    sched.schedule_in(SimDuration::from_millis(u64::from(e % 5)), e / 2);
-                }
-                if e.is_multiple_of(7) && e > 0 {
-                    sched.schedule_at(now, e - 1);
-                }
-            }
-        }
-        let run = |partitions: usize| -> Vec<(SimTime, u32)> {
-            let mut sim = Simulation::new(Churn { seen: vec![] });
-            if partitions > 1 {
-                sim = sim.with_partitions(partitions, Box::new(|e: &u32| *e as usize % 4));
-            }
-            for i in 0..200u32 {
-                sim.schedule_at(ms(u64::from(i % 11)), i);
-            }
-            assert!(sim.run().drained());
-            sim.world().seen.clone()
-        };
-        let baseline = run(1);
-        for partitions in [2, 3, 4, 8] {
-            assert_eq!(run(partitions), baseline, "{partitions} partitions");
-        }
-    }
-
-    /// Regression pin for the latent tie-gathering fragility: with the queue
-    /// sharded, a tie set spanning shards must be presented to the chooser in
-    /// global *sequence* order, not in shard-scan order. (Events are
-    /// scheduled so that shard order and FIFO order disagree: the earliest-
-    /// scheduled tied events land in the highest-index shard.)
-    #[test]
-    fn cross_shard_ties_are_gathered_in_global_seq_order() {
-        let run = |partitions: usize| -> Vec<(SimTime, u32)> {
-            let mut sim = Simulation::new(Recorder { seen: vec![] })
-                .with_chooser(Box::new(ExplicitFifo))
-                .with_partitions(partitions, Box::new(|e: &u32| 3 - (*e as usize % 4)));
-            for i in 0..64 {
-                sim.schedule_at(ms(5), i);
-                sim.schedule_at(ms(7), 100 + i);
-            }
-            assert!(sim.run().drained());
-            sim.world().seen.clone()
-        };
-        // Always-0 chooser == FIFO: global seq order regardless of shards.
-        let expected: Vec<(SimTime, u32)> = (0..64)
-            .map(|i| (ms(5), i))
-            .chain((0..64).map(|i| (ms(7), 100 + i)))
-            .collect();
-        for partitions in [1, 2, 4] {
-            assert_eq!(run(partitions), expected, "{partitions} partitions");
-        }
-        // And a LIFO chooser sees the same arity/indexing at every partition
-        // count, so its (reversed) pick sequence is also shard-invariant.
-        let lifo = |partitions: usize| -> Vec<(SimTime, u32)> {
-            let mut sim = Simulation::new(Recorder { seen: vec![] })
-                .with_chooser(Box::new(Lifo))
-                .with_partitions(partitions, Box::new(|e: &u32| 3 - (*e as usize % 4)));
-            for i in 0..64 {
-                sim.schedule_at(ms(5), i);
-            }
-            assert!(sim.run().drained());
-            sim.world().seen.clone()
-        };
-        let baseline = lifo(1);
-        assert_eq!(
-            baseline.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
-            (0..64).rev().collect::<Vec<_>>()
-        );
-        for partitions in [2, 4, 8] {
-            assert_eq!(lifo(partitions), baseline, "{partitions} partitions");
-        }
-    }
-
-    /// Sharding after events are queued migrates them with keys intact, and
-    /// pending/peak accounting spans all shards.
-    #[test]
-    fn set_partitions_migrates_pending_events() {
-        let mut sim = Simulation::new(Recorder { seen: vec![] });
-        for i in 0..20 {
-            sim.schedule_at(ms(7), i);
-            sim.schedule_at(ms(3 + u64::from(i)), 100 + i);
-        }
-        assert_eq!(sim.peak_queue_depth(), 40);
-        sim = sim.with_partitions(4, Box::new(|e: &u32| *e as usize % 4));
-        assert_eq!(sim.partitions(), 4);
-        assert_eq!(sim.peak_queue_depth(), 40);
-        assert!(sim.run().drained());
-        let mut expected = Simulation::new(Recorder { seen: vec![] });
-        for i in 0..20 {
-            expected.schedule_at(ms(7), i);
-            expected.schedule_at(ms(3 + u64::from(i)), 100 + i);
-        }
-        assert!(expected.run().drained());
-        assert_eq!(sim.world().seen, expected.world().seen);
-    }
-
-    /// Horizon push-back lands back in the right shard with its original
-    /// key, so stop/resume is shard-invariant too.
-    #[test]
-    fn sharded_horizon_stops_and_resumes() {
-        let mut sim = Simulation::new(Recorder { seen: vec![] })
-            .with_partitions(3, Box::new(|e: &u32| *e as usize % 3));
-        for i in 0..9 {
-            sim.schedule_at(ms(10 * (1 + u64::from(i % 3))), i);
-        }
-        let out = sim.run_until(ms(15));
-        assert!(matches!(out, RunOutcome::HorizonReached { events: 3, .. }));
-        assert_eq!(sim.pending_events(), 6);
-        assert!(sim.run().drained());
-        assert_eq!(sim.world().seen.len(), 9);
-        let times: Vec<SimTime> = sim.world().seen.iter().map(|&(t, _)| t).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -41,12 +41,10 @@ mod queue;
 mod rng;
 mod stats;
 mod time;
-mod window;
 
 pub use choice::{ChoiceKind, Chooser, FifoChooser};
-pub use engine::{EventRouter, RunOutcome, Scheduler, Simulation, World};
+pub use engine::{RunOutcome, Scheduler, Simulation, World};
 pub use queue::{CalendarQueue, EventQueue, HeapQueue, QueueBackend};
 pub use rng::SimRng;
 pub use stats::{Reservoir, Samples};
 pub use time::{SimDuration, SimTime};
-pub use window::{ClassedQueue, FrontCache, Fronts};

@@ -91,10 +91,9 @@ pub struct BuiltScenario {
 /// ready [`p4update_des::Simulation`]: the world, its update batch, the
 /// trigger time, and the run horizon. Built by [`build_deterministic`]
 /// with the *deterministic* configuration (no paranoid oracle, no fault
-/// choice points, analysis gate off) — exactly the restrictions the
-/// windowed parallel engine ([`p4update_sim::PartitionedSim`]) imposes,
-/// so the same scenario can run sequentially and partitioned and be
-/// compared byte-for-byte.
+/// choice points, analysis gate off), so a run of it measures the
+/// protocol alone: the difference to the same scenario from [`build`] is
+/// the cost of per-event checking and choice-point consultation.
 pub struct DeterministicScenario {
     /// The assembled world (trigger not yet scheduled).
     pub world: NetworkSim,
@@ -141,12 +140,12 @@ pub fn build(name: &str, seed: u64) -> Option<BuiltScenario> {
     })
 }
 
-/// Build `name` at `seed` with the deterministic (engine-portable)
-/// configuration: no paranoid oracle, no fault choice points, analysis
-/// gate off. Rejects `+`-modified names — modifiers parameterize
-/// adversarial studies, which need the sequential engine's global
-/// machinery. The world otherwise matches [`build`] exactly (same
-/// topology, flows, batch, trigger, horizon).
+/// Build `name` at `seed` with the deterministic configuration: no
+/// paranoid oracle, no fault choice points, analysis gate off. Rejects
+/// `+`-modified names — modifiers parameterize adversarial studies, which
+/// need exactly the machinery this configuration leaves out. The world
+/// otherwise matches [`build`] exactly (same topology, flows, batch,
+/// trigger, horizon).
 pub fn build_deterministic(name: &str, seed: u64) -> Option<DeterministicScenario> {
     if name.contains('+') {
         return None;

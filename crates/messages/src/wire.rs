@@ -19,7 +19,8 @@
 //! ```
 //!
 //! `next_hop`/`upstream` encode `None` as `u32::MAX` (no node id reaches
-//! that value in any evaluated topology).
+//! that value in any evaluated topology). A buffer decodes only if it is
+//! exactly one header long and a UIM's `flow_size` is finite.
 //!
 //! Buffers are plain `Vec<u8>`/`&[u8]` — the codec has no external
 //! dependencies so the workspace builds offline.
@@ -54,8 +55,11 @@ pub enum WireError {
     Truncated,
     /// Unknown `msg_type` byte.
     UnknownType(u8),
-    /// A field held an out-of-range discriminant.
+    /// A field held an out-of-range discriminant or value.
     BadField(&'static str),
+    /// The buffer continues past the header's fixed length by this many
+    /// bytes.
+    TrailingBytes(usize),
 }
 
 impl std::fmt::Display for WireError {
@@ -64,6 +68,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated header"),
             WireError::UnknownType(t) => write!(f, "unknown message type {t:#04x}"),
             WireError::BadField(name) => write!(f, "invalid field {name}"),
+            WireError::TrailingBytes(n) => write!(f, "{n} trailing byte(s) after the header"),
         }
     }
 }
@@ -240,9 +245,19 @@ pub fn encode(msg: &Message) -> Result<Vec<u8>, WireError> {
     Ok(buf)
 }
 
-/// Decode a wire buffer back into a message.
+/// Decode a wire buffer back into a message. The buffer must hold
+/// exactly one header: bytes past its fixed length are an error, as is a
+/// UIM whose `flow_size` is not finite.
 pub fn decode(buf: &[u8]) -> Result<Message, WireError> {
     let mut r = Reader::new(buf);
+    let msg = decode_header(&mut r)?;
+    match r.buf.len() {
+        0 => Ok(msg),
+        extra => Err(WireError::TrailingBytes(extra)),
+    }
+}
+
+fn decode_header(r: &mut Reader<'_>) -> Result<Message, WireError> {
     let ty = r.get_u8()?;
     let flow = FlowId(r.get_u32()?);
     match ty {
@@ -266,6 +281,9 @@ pub fn decode(buf: &[u8]) -> Result<Message, WireError> {
             let version = Version(r.get_u32()?);
             let new_distance = r.get_u32()?;
             let flow_size = r.get_f64()?;
+            if !flow_size.is_finite() {
+                return Err(WireError::BadField("flow_size"));
+            }
             let next_hop = r.get_opt_node()?;
             let upstream = r.get_opt_node()?;
             let kind = kind_from_u8(r.get_u8()?)?;
@@ -433,6 +451,93 @@ mod tests {
         let wire = encode(&msg).unwrap();
         for cut in 0..wire.len() {
             assert!(decode(&wire[..cut]).is_err(), "cut at {cut} decoded");
+        }
+    }
+
+    /// One encodable message of every wire type.
+    fn one_of_each() -> Vec<Message> {
+        vec![
+            Message::Data(DataPacket {
+                flow: FlowId(7),
+                seq: 1,
+                ttl: 64,
+                tag: Some(Version(2)),
+            }),
+            Message::Frm(Frm {
+                flow: FlowId(7),
+                ingress: NodeId(3),
+                egress: NodeId(11),
+            }),
+            Message::Uim(Uim {
+                flow: FlowId(2),
+                version: Version(9),
+                new_distance: 5,
+                flow_size: 2.75,
+                next_hop: Some(NodeId(4)),
+                upstream: None,
+                kind: UpdateKind::Dual,
+            }),
+            Message::Unm(Unm {
+                flow: FlowId(1),
+                v_new: Version(4),
+                v_old: Version(3),
+                d_new: 2,
+                d_old: 6,
+                counter: 17,
+                kind: UpdateKind::Dual,
+                layer: UnmLayer::Intra,
+            }),
+            Message::Ufm(Ufm {
+                flow: FlowId(5),
+                version: Version(2),
+                status: UfmStatus::Success,
+                reporter: NodeId(0),
+            }),
+            Message::Cleanup(Cleanup {
+                flow: FlowId(5),
+                version: Version(2),
+            }),
+        ]
+    }
+
+    /// A header is exactly its fixed length: bytes past it are refused,
+    /// not silently ignored.
+    #[test]
+    fn trailing_bytes_error() {
+        for msg in one_of_each() {
+            for extra in [1usize, 3] {
+                let mut wire = encode(&msg).unwrap();
+                wire.resize(wire.len() + extra, 0);
+                assert_eq!(
+                    decode(&wire),
+                    Err(WireError::TrailingBytes(extra)),
+                    "{msg:?}"
+                );
+            }
+        }
+    }
+
+    /// A UIM's flow size must be a finite number; zero still decodes (the
+    /// analyzer's `> 0` rule owns that policy).
+    #[test]
+    fn non_finite_flow_size_errors() {
+        let uim = |flow_size| {
+            Message::Uim(Uim {
+                flow: FlowId(2),
+                version: Version(9),
+                new_distance: 5,
+                flow_size,
+                next_hop: None,
+                upstream: None,
+                kind: UpdateKind::Single,
+            })
+        };
+        for size in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let wire = encode(&uim(size)).unwrap();
+            assert_eq!(decode(&wire), Err(WireError::BadField("flow_size")));
+        }
+        for size in [0.0, -0.0, 1e-300, f64::MAX] {
+            roundtrip(uim(size));
         }
     }
 

@@ -279,7 +279,7 @@ pub fn synthetic_fat_tree_4096() -> Topology {
 }
 
 /// 32768-switch synthetic fat-tree (128 cores, 240 pods × 68 agg + 68
-/// edge) — the hyper-scale topology only the partitioned engine can run.
+/// edge) — the hyper-scale topology of the perf harness's ft32768 probe.
 /// All-pairs path tables would need ~16 GiB at this node count; the
 /// simulator's tables fill rows on demand, and fat-tree timing needs none.
 pub fn synthetic_fat_tree_32768() -> Topology {

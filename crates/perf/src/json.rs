@@ -9,41 +9,31 @@
 pub use p4update_analysis::Json;
 
 // ---------------------------------------------------------------------------
-// Benchmark-artifact schema (v4) and validation.
+// Benchmark-artifact schema (v5) and validation.
 
 /// Schema tag of the emitted artifact; bump on layout changes. `v2` added
 /// the mandatory top-level `thread_scaling` section, the per-system
 /// `stranded_flows` counter, and the ft4096 scale; the `analysis` section
 /// (plans/sec of the static batch verifier) is mandatory as of PR 6. `v3`
-/// splits `thread_scaling` into `run_level` (fork-join over independent
-/// runs) and `in_run` (the windowed partitioned engine inside one run)
-/// halves and adds the mandatory `partitioning` section: the
-/// deterministic shape — partition count, conservative lookahead, window
-/// count, per-partition event counts — of a fixed-cut partitioned
-/// execution, including the parallel-only ft32768 scale in full
-/// artifacts. `v4` adds the mandatory `overhead` section: the per-window
-/// cost of the windowed engine versus the sequential baseline — window
-/// counts, events per window, and wall ratios at partitions ∈ {1, 4}
-/// with coalescing/serial phases on and off — and requires the coalesced
-/// window count to undercut the fixed-window count at least fivefold.
-pub const SCHEMA: &str = "p4update-bench-v4";
+/// nested `thread_scaling` under `run_level` and added a `partitioning`
+/// section, `v4` an `overhead` section; both described the partitioned
+/// engine. `v5` drops them with that engine, together with
+/// `thread_scaling.in_run`, and moves the ft32768 run to a top-level
+/// `ft32768` entry that full (non-smoke) artifacts must carry.
+pub const SCHEMA: &str = "p4update-bench-v5";
 
 /// The systems every scale must report, in artifact order.
 pub const EXPECTED_SYSTEMS: [&str; 4] = ["p4update-sl", "p4update-dl", "ez-segway", "central"];
 
-/// Validate a benchmark artifact: schema tag (superseded v1/v2/v3
+/// Validate a benchmark artifact: schema tag (superseded v1–v4
 /// artifacts are rejected by name), at least `min_scales` scales with no
 /// duplicate scale entries, exactly the four expected systems per scale
-/// with no duplicates, a well-formed two-level `thread_scaling` section,
-/// a well-formed mandatory `partitioning` section (full artifacts must
-/// carry the ft4096 and ft32768 entries), a well-formed mandatory
-/// `overhead` section (windows, events-per-window and wall ratios at
-/// partitions ∈ {1, 4} × coalescing on/off, with the coalesced runs
-/// using at most a fifth of the fixed-window counts), a well-formed
-/// `analysis` section (full artifacts must carry ft512 and ft4096
-/// analysis scales), and finite, plausible numbers throughout. This is
-/// what the gate script runs against both the smoke output and the
-/// committed baseline.
+/// with no duplicates, a well-formed `thread_scaling.run_level` section,
+/// a well-formed `ft32768` entry (mandatory unless `smoke` is true), a
+/// well-formed `analysis` section (full artifacts must carry ft512 and
+/// ft4096 analysis scales), and finite, plausible numbers throughout.
+/// This is what the gate script runs against both the smoke output and
+/// the committed baseline.
 pub fn validate_report(doc: &Json, min_scales: usize) -> Result<(), String> {
     match doc.get("schema").and_then(Json::as_str) {
         Some(s) if s == SCHEMA => {}
@@ -55,13 +45,13 @@ pub fn validate_report(doc: &Json, min_scales: usize) -> Result<(), String> {
         }
         Some("p4update-bench-v2") => {
             return Err(format!(
-                "schema p4update-bench-v2 is obsolete (flat thread_scaling, no \
-                 partitioning section); regenerate the artifact as {SCHEMA}"
+                "schema p4update-bench-v2 is obsolete (flat thread_scaling); \
+                 regenerate the artifact as {SCHEMA}"
             ));
         }
-        Some("p4update-bench-v3") => {
+        Some(old @ ("p4update-bench-v3" | "p4update-bench-v4")) => {
             return Err(format!(
-                "schema p4update-bench-v3 is obsolete (no overhead section); \
+                "schema {old} is obsolete (partitioned-engine sections); \
                  regenerate the artifact as {SCHEMA}"
             ));
         }
@@ -79,21 +69,13 @@ pub fn validate_report(doc: &Json, min_scales: usize) -> Result<(), String> {
         ts.get("run_level")
             .ok_or("thread_scaling: missing run_level half (flat v2 layout?)")?,
     )?;
-    validate_in_run_scaling(
-        ts.get("in_run")
-            .ok_or("thread_scaling: missing in_run half (flat v2 layout?)")?,
-    )?;
-    validate_partitioning(
-        doc.get("partitioning").ok_or(
-            "missing partitioning section (required by p4update-bench-v3; \
-             older artifacts must be regenerated)",
-        )?,
-        min_scales,
-    )?;
-    validate_overhead(doc.get("overhead").ok_or(
-        "missing overhead section (required by p4update-bench-v4; \
-         older artifacts must be regenerated)",
-    )?)?;
+    match doc.get("ft32768") {
+        Some(entry) => validate_ft32768(entry)?,
+        None if doc.get("smoke").and_then(Json::as_bool) != Some(true) => {
+            return Err("full artifacts must carry the ft32768 entry".into());
+        }
+        None => {}
+    }
     validate_analysis(
         doc.get("analysis")
             .ok_or("missing analysis section (plans/sec of the static batch verifier)")?,
@@ -231,228 +213,25 @@ fn validate_run_level_scaling(ts: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate the `in_run` half: points climb in (partitions, threads)
-/// lexicographic order and carry positive wall/speedup numbers. Speedup
-/// is *not* required to exceed 1 — on a single-core machine it honestly
-/// won't, and `parallelism_available` is right there for the reader to
-/// judge the numbers against.
-fn validate_in_run_scaling(ts: &Json) -> Result<(), String> {
-    ts.get("scale")
-        .and_then(Json::as_str)
-        .ok_or("thread_scaling/in_run: missing scale")?;
-    ts.get("system")
-        .and_then(Json::as_str)
-        .ok_or("thread_scaling/in_run: missing system")?;
-    for key in ["events", "parallelism_available"] {
-        ts.get(key)
-            .and_then(Json::as_f64)
-            .filter(|&v| v.is_finite() && v >= 1.0)
-            .ok_or_else(|| format!("thread_scaling/in_run: {key} must be ≥ 1"))?;
+/// Validate the `ft32768` entry: the 32768-switch run's deterministic
+/// counts must be positive, and its timing fields (absent after
+/// [`strip_timing`]) positive when present.
+pub(crate) fn validate_ft32768(entry: &Json) -> Result<(), String> {
+    if entry.get("scale").and_then(Json::as_str) != Some("ft32768") {
+        return Err("ft32768: scale must be \"ft32768\"".into());
     }
-    let points = ts
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("thread_scaling/in_run: missing points array")?;
-    if points.is_empty() {
-        return Err("thread_scaling/in_run: points must be non-empty".into());
-    }
-    let mut last = (0.0, 0.0);
-    for p in points {
-        let mut pt = (0.0, 0.0);
-        for (key, slot) in [("partitions", &mut pt.0), ("threads", &mut pt.1)] {
-            *slot = p
-                .get(key)
-                .and_then(Json::as_f64)
-                .filter(|&v| v.is_finite() && v >= 1.0)
-                .ok_or_else(|| format!("thread_scaling/in_run: point {key} must be ≥ 1"))?;
-        }
-        if pt <= last {
-            return Err("thread_scaling/in_run: points must climb in (partitions, threads)".into());
-        }
-        last = pt;
-        for key in ["wall_secs", "speedup"] {
-            p.get(key)
-                .and_then(Json::as_f64)
-                .filter(|&v| v.is_finite() && v > 0.0)
-                .ok_or_else(|| format!("thread_scaling/in_run: point {key} must be positive"))?;
-        }
-    }
-    Ok(())
-}
-
-/// Validate the mandatory `partitioning` section: per-scale entries of
-/// the fixed-cut partitioned execution. The per-partition event counts
-/// must be one per switch partition plus one controller shard and must
-/// add up exactly to the entry's event total — the section *is* the
-/// determinism claim in artifact form, so the arithmetic has to close.
-/// Full artifacts (`min_scales ≥ 4`) must report ft4096 and the
-/// parallel-only ft32768.
-fn validate_partitioning(section: &Json, min_scales: usize) -> Result<(), String> {
-    let scales = section
-        .get("scales")
-        .and_then(Json::as_arr)
-        .ok_or("partitioning: missing scales array")?;
-    if scales.is_empty() {
-        return Err("partitioning: scales must be non-empty".into());
-    }
-    let mut names: Vec<&str> = Vec::new();
-    for entry in scales {
-        let name = entry
-            .get("scale")
-            .and_then(Json::as_str)
-            .ok_or("partitioning: scale missing name")?;
-        if names.contains(&name) {
-            return Err(format!("partitioning: duplicate scale entry {name:?}"));
-        }
-        names.push(name);
-        for key in ["nodes", "flows", "windows", "events"] {
-            entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .filter(|&v| v.is_finite() && v >= 1.0)
-                .ok_or_else(|| format!("partitioning/{name}: {key} must be ≥ 1"))?;
-        }
-        let partitions = entry
-            .get("partitions")
-            .and_then(Json::as_f64)
-            .filter(|&v| v.is_finite() && v >= 1.0)
-            .ok_or_else(|| format!("partitioning/{name}: partitions must be ≥ 1"))?;
+    for key in ["nodes", "flows", "events"] {
         entry
-            .get("lookahead_ms")
-            .and_then(Json::as_f64)
-            .filter(|&v| v.is_finite() && v > 0.0)
-            .ok_or_else(|| format!("partitioning/{name}: lookahead_ms must be positive"))?;
-        let per = entry
-            .get("per_partition_events")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("partitioning/{name}: missing per_partition_events"))?;
-        if per.len() != partitions as usize + 1 {
-            return Err(format!(
-                "partitioning/{name}: per_partition_events must have {} entries \
-                 ({partitions} partitions + controller shard), found {}",
-                partitions as usize + 1,
-                per.len()
-            ));
-        }
-        let mut sum = 0.0;
-        for v in per {
-            sum += v
-                .as_f64()
-                .filter(|&v| v.is_finite() && v >= 0.0)
-                .ok_or_else(|| {
-                    format!("partitioning/{name}: per_partition_events entries must be ≥ 0")
-                })?;
-        }
-        let events = entry.get("events").and_then(Json::as_f64).unwrap_or(0.0);
-        if sum != events {
-            return Err(format!(
-                "partitioning/{name}: per_partition_events sum {sum} ≠ events {events}"
-            ));
-        }
-        // Wall-clock fields are optional (the ft32768 entry carries them;
-        // strip_timing removes them) but must be positive when present.
-        for key in ["wall_secs", "events_per_sec"] {
-            if let Some(v) = entry.get(key) {
-                v.as_f64()
-                    .filter(|&v| v.is_finite() && v > 0.0)
-                    .ok_or_else(|| format!("partitioning/{name}: {key} must be positive"))?;
-            }
-        }
-    }
-    if min_scales >= 4 {
-        for required in ["ft4096", "ft32768"] {
-            if !names.contains(&required) {
-                return Err(format!(
-                    "partitioning: full artifacts must report scale {required:?}"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The (partitions, coalescing) grid every `overhead` section must
-/// report, in artifact order.
-const OVERHEAD_POINTS: [(f64, bool); 4] = [(1.0, true), (1.0, false), (4.0, true), (4.0, false)];
-
-/// Validate the mandatory `overhead` section: one scale's dual-layer
-/// workload through the windowed engine at partitions ∈ {1, 4} with
-/// coalescing/serial phases on and off, against the sequential run of
-/// the same world. Window counts and events-per-window are deterministic
-/// (they survive [`strip_timing`]); wall fields are optional after
-/// stripping but must be positive when present. The validator also pins
-/// the section's reason to exist: at every partition count, the
-/// coalesced run must use at most a fifth of the fixed-window run's
-/// windows.
-fn validate_overhead(section: &Json) -> Result<(), String> {
-    for key in ["scale", "system"] {
-        section
             .get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("overhead: missing {key}"))?;
-    }
-    section
-        .get("events")
-        .and_then(Json::as_f64)
-        .filter(|&v| v.is_finite() && v >= 1.0)
-        .ok_or("overhead: events must be ≥ 1")?;
-    if let Some(v) = section.get("sequential_wall_secs") {
-        v.as_f64()
-            .filter(|&v| v.is_finite() && v > 0.0)
-            .ok_or("overhead: sequential_wall_secs must be positive")?;
-    }
-    let points = section
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("overhead: missing points array")?;
-    if points.len() != OVERHEAD_POINTS.len() {
-        return Err(format!(
-            "overhead: points must cover the (partitions, coalescing) grid \
-             {OVERHEAD_POINTS:?}, found {} points",
-            points.len()
-        ));
-    }
-    let mut windows = [0.0f64; 4];
-    for (i, (p, &(want_parts, want_coal))) in points.iter().zip(&OVERHEAD_POINTS).enumerate() {
-        let parts = p
-            .get("partitions")
-            .and_then(Json::as_f64)
-            .ok_or("overhead: point missing partitions")?;
-        let coal = p
-            .get("coalescing")
-            .and_then(Json::as_bool)
-            .ok_or("overhead: point missing coalescing")?;
-        if (parts, coal) != (want_parts, want_coal) {
-            return Err(format!(
-                "overhead: point {i} must be partitions {want_parts}, coalescing \
-                 {want_coal}; found partitions {parts}, coalescing {coal}"
-            ));
-        }
-        windows[i] = p
-            .get("windows")
             .and_then(Json::as_f64)
             .filter(|&v| v.is_finite() && v >= 1.0)
-            .ok_or("overhead: point windows must be ≥ 1")?;
-        p.get("events_per_window")
-            .and_then(Json::as_f64)
-            .filter(|&v| v.is_finite() && v > 0.0)
-            .ok_or("overhead: point events_per_window must be positive")?;
-        for key in ["wall_secs", "wall_ratio_vs_sequential"] {
-            if let Some(v) = p.get(key) {
-                v.as_f64()
-                    .filter(|&v| v.is_finite() && v > 0.0)
-                    .ok_or_else(|| format!("overhead: point {key} must be positive"))?;
-            }
-        }
+            .ok_or_else(|| format!("ft32768: {key} must be ≥ 1"))?;
     }
-    // Windows are [1p on, 1p off, 4p on, 4p off]; coalescing must buy at
-    // least a 5x reduction at both partition counts.
-    for (on, off, label) in [(windows[0], windows[1], 1), (windows[2], windows[3], 4)] {
-        if on * 5.0 > off {
-            return Err(format!(
-                "overhead: coalescing at {label} partition(s) reduced windows only \
-                 {off} -> {on} (must be at least 5x)"
-            ));
+    for key in ["wall_secs", "events_per_sec"] {
+        if let Some(v) = entry.get(key) {
+            v.as_f64()
+                .filter(|&v| v.is_finite() && v > 0.0)
+                .ok_or_else(|| format!("ft32768: {key} must be positive"))?;
         }
     }
     Ok(())
@@ -554,88 +333,21 @@ fn validate_analysis(section: &Json, min_scales: usize) -> Result<(), String> {
 }
 
 /// A copy of the artifact with every wall-clock-derived field removed:
-/// per-system `wall_secs` and `events_per_sec`, the same fields inside
-/// `partitioning` entries, the `overhead` section's
-/// `sequential_wall_secs` and per-point `wall_secs` /
-/// `wall_ratio_vs_sequential`, and the whole `thread_scaling` and
-/// `analysis` sections (both report throughput). The `partitioning` and
-/// `overhead` sections themselves *stay* — partition count, lookahead,
-/// window counts, per-partition event counts and events-per-window are
-/// pure functions of (workload, seed, cut, coalescing setting), probed
-/// at fixed settings, so they are part of the determinism contract. What
-/// remains must be byte-identical for two runs of the same build
-/// *regardless of thread count, `--partitions`, or `--no-coalescing`*;
-/// the gate script enforces exactly that for `--threads 1` vs
-/// `--threads 4`, for `--partitions 1` vs `--partitions 4`, and for
-/// coalescing on vs off. (Lint-output byte-equality across worker counts
-/// is enforced separately on `p4update_lint --dataset` output.)
+/// per-system and `ft32768` `wall_secs` and `events_per_sec`, and the
+/// whole `thread_scaling` and `analysis` sections (both report
+/// throughput). What remains must be byte-identical for two runs of the
+/// same build *regardless of thread count*; the gate script enforces
+/// exactly that for `--threads 1` vs `--threads 4`. (Lint-output
+/// byte-equality across worker counts is enforced separately on
+/// `p4update_lint --dataset` output.)
 pub fn strip_timing(doc: &Json) -> Json {
-    fn strip_system(sys: &Json) -> Json {
+    fn strip_wall(sys: &Json) -> Json {
         match sys {
             Json::Obj(members) => Json::Obj(
                 members
                     .iter()
                     .filter(|(k, _)| k != "wall_secs" && k != "events_per_sec")
                     .cloned()
-                    .collect(),
-            ),
-            other => other.clone(),
-        }
-    }
-    fn strip_partitioning(section: &Json) -> Json {
-        match section {
-            Json::Obj(members) => Json::Obj(
-                members
-                    .iter()
-                    .map(|(k, v)| {
-                        let v = if k == "scales" {
-                            match v {
-                                Json::Arr(items) => {
-                                    Json::Arr(items.iter().map(strip_system).collect())
-                                }
-                                other => other.clone(),
-                            }
-                        } else {
-                            v.clone()
-                        };
-                        (k.clone(), v)
-                    })
-                    .collect(),
-            ),
-            other => other.clone(),
-        }
-    }
-    fn strip_overhead(section: &Json) -> Json {
-        fn strip_point(p: &Json) -> Json {
-            match p {
-                Json::Obj(members) => Json::Obj(
-                    members
-                        .iter()
-                        .filter(|(k, _)| k != "wall_secs" && k != "wall_ratio_vs_sequential")
-                        .cloned()
-                        .collect(),
-                ),
-                other => other.clone(),
-            }
-        }
-        match section {
-            Json::Obj(members) => Json::Obj(
-                members
-                    .iter()
-                    .filter(|(k, _)| k != "sequential_wall_secs")
-                    .map(|(k, v)| {
-                        let v = if k == "points" {
-                            match v {
-                                Json::Arr(items) => {
-                                    Json::Arr(items.iter().map(strip_point).collect())
-                                }
-                                other => other.clone(),
-                            }
-                        } else {
-                            v.clone()
-                        };
-                        (k.clone(), v)
-                    })
                     .collect(),
             ),
             other => other.clone(),
@@ -650,7 +362,7 @@ pub fn strip_timing(doc: &Json) -> Json {
                         let v = if k == "systems" {
                             match v {
                                 Json::Arr(items) => {
-                                    Json::Arr(items.iter().map(strip_system).collect())
+                                    Json::Arr(items.iter().map(strip_wall).collect())
                                 }
                                 other => other.clone(),
                             }
@@ -675,10 +387,8 @@ pub fn strip_timing(doc: &Json) -> Json {
                             Json::Arr(items) => Json::Arr(items.iter().map(strip_scale).collect()),
                             other => other.clone(),
                         }
-                    } else if k == "partitioning" {
-                        strip_partitioning(v)
-                    } else if k == "overhead" {
-                        strip_overhead(v)
+                    } else if k == "ft32768" {
+                        strip_wall(v)
                     } else {
                         v.clone()
                     };

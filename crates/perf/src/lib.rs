@@ -19,7 +19,5 @@ pub mod runner;
 pub mod workload;
 
 pub use json::{strip_timing, validate_report, Json, EXPECTED_SYSTEMS, SCHEMA};
-pub use runner::{
-    ft32768_probe, overhead_smoke, run_bench, run_scale, scales, systems, LOAD_FACTOR,
-};
+pub use runner::{ft32768_probe, run_bench, run_scale, scales, systems, LOAD_FACTOR};
 pub use workload::{bench_plans, bench_workload};

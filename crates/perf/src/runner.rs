@@ -12,10 +12,9 @@ use crate::json::{Json, EXPECTED_SYSTEMS, SCHEMA};
 use crate::workload::bench_workload;
 use p4update_core::Strategy;
 use p4update_des::{Samples, SimDuration, SimTime};
-use p4update_net::{topologies, FlowId, FlowUpdate, Path, PodPartitioner, Topology};
+use p4update_net::{topologies, FlowId, FlowUpdate, Path, Topology};
 use p4update_sim::{
-    simulation, Event, NetworkSim, PartitionedSim, PathTables, SimConfig, StreamingMetrics, System,
-    TimingConfig,
+    simulation, Event, NetworkSim, PathTables, SimConfig, StreamingMetrics, System, TimingConfig,
 };
 use p4update_traffic::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -187,17 +186,26 @@ where
     indexed.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Assemble a bench world: initial paths installed, the whole workload
-/// queued as one batch. Shared by the sequential and partitioned run
-/// paths so both engines see byte-identical starting states.
-fn build_world(
+/// The bench event-loop horizon.
+fn horizon() -> SimTime {
+    SimTime::ZERO + SimDuration::from_secs(600)
+}
+
+/// Run one (topology, system) cell for one seed. A flow missing from the
+/// completion-time list failed to finish inside the horizon (ez-Segway
+/// can strand flows under contention); such flows are recorded as
+/// stranded. The world starts with every initial path installed and the
+/// whole workload queued as one batch. Workload and path-table
+/// construction happen outside the timed section; `wall` covers only the
+/// event loop.
+fn run_once(
     topo: &Topology,
     tables: &Arc<PathTables>,
     workload: &Workload,
     timing: TimingConfig,
     system: System,
     seed: u64,
-) -> (NetworkSim, usize) {
+) -> RunMeasure {
     let config = SimConfig::new(timing, seed).with_analysis_gate(false);
     let mut world = NetworkSim::with_path_tables(
         topo.clone(),
@@ -213,68 +221,13 @@ fn build_world(
         }
     }
     let batch = world.add_batch(workload.updates.clone());
-    (world, batch)
-}
-
-/// Engine selection for a grid run: the partition count (1 routes
-/// through the sequential engine) and, for the windowed engine, whether
-/// window coalescing/serial phases are enabled.
-#[derive(Clone, Copy)]
-struct Engine {
-    partitions: usize,
-    coalescing: bool,
-}
-
-/// The bench event-loop horizon.
-fn horizon() -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(600)
-}
-
-/// Run one (topology, system) cell for one seed. A flow missing from the
-/// completion-time list failed to finish inside the horizon (ez-Segway
-/// can strand flows under contention); such flows are recorded as
-/// stranded. Workload and path-table construction happen outside the
-/// timed section; `wall` covers only the event loop.
-///
-/// With `partitions > 1` the run goes through the windowed
-/// [`PartitionedSim`] engine (pod-partitioned, single in-run worker —
-/// run-level parallelism owns the cores here) with window
-/// coalescing/serial phases per `coalescing`; the engine's
-/// byte-identical-merge guarantee means every measured field except
-/// `wall` is the same either way, which
-/// `partition_count_does_not_change_the_canonical_artifact` and
-/// `coalescing_does_not_change_the_canonical_artifact` pin.
-fn run_once(
-    topo: &Topology,
-    tables: &Arc<PathTables>,
-    workload: &Workload,
-    timing: TimingConfig,
-    system: System,
-    seed: u64,
-    engine: Engine,
-) -> RunMeasure {
-    let (world, batch) = build_world(topo, tables, workload, timing, system, seed);
-    let (events, peak, mut world, wall) = if engine.partitions > 1 {
-        let part = PodPartitioner::new(topo, engine.partitions);
-        let mut sim = PartitionedSim::new(world, &part, 1)
-            .expect("bench configs satisfy the partitioned-engine preconditions")
-            .with_coalescing(engine.coalescing);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
-        let start = std::time::Instant::now();
-        sim.run_until(horizon())
-            .expect("pod cut violated its own lookahead");
-        let wall = start.elapsed();
-        let (events, peak) = (sim.events_delivered(), sim.peak_queue_depth());
-        (events, peak, sim.into_world(), wall)
-    } else {
-        let mut sim = simulation(world);
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
-        let start = std::time::Instant::now();
-        let _ = sim.run_until(horizon());
-        let wall = start.elapsed();
-        let (events, peak) = (sim.events_delivered(), sim.peak_queue_depth());
-        (events, peak, sim.into_world(), wall)
-    };
+    let mut sim = simulation(world);
+    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
+    let start = std::time::Instant::now();
+    let _ = sim.run_until(horizon());
+    let wall = start.elapsed();
+    let (events, peak) = (sim.events_delivered(), sim.peak_queue_depth());
+    let mut world = sim.into_world();
     let stranded = world.record_stranded_flows().len() as u64;
     let flows: Vec<FlowId> = workload.updates.iter().map(|u| u.flow).collect();
     let mut fct_ms = Vec::with_capacity(flows.len());
@@ -303,13 +256,7 @@ fn run_once(
 /// over `threads` workers. Path tables are computed once per topology
 /// and workloads once per seed (both system-independent), then shared
 /// read-only across the pool.
-pub fn run_scale(
-    scale: &Scale,
-    runs: u64,
-    threads: usize,
-    partitions: usize,
-    coalescing: bool,
-) -> ScaleResult {
+pub fn run_scale(scale: &Scale, runs: u64, threads: usize) -> ScaleResult {
     let topo = (scale.build)();
     let timing = (scale.timing)(&topo);
     let tables = Arc::new(PathTables::compute(&topo));
@@ -330,10 +277,6 @@ pub fn run_scale(
             timing,
             grid[sys_idx].1,
             1 + seed_idx as u64,
-            Engine {
-                partitions,
-                coalescing,
-            },
         )
     });
     let mut results = Vec::new();
@@ -386,8 +329,8 @@ fn parallelism_available() -> usize {
 /// inherently machine-dependent (and meaningless on a single-core box —
 /// `parallelism_available` records what the machine offered), which is
 /// why [`crate::json::strip_timing`] drops the whole `thread_scaling`
-/// section from the canonical artifact. Emitted as the `run_level` half
-/// of that section, next to [`in_run_scaling_probe`]'s `in_run` half.
+/// section from the canonical artifact. Emitted as that section's
+/// `run_level` entry.
 fn run_level_scaling_probe(smoke: bool) -> Json {
     let all = scales();
     // ft64 for the baseline, fig1 for CI smoke — big enough to amortize
@@ -411,10 +354,6 @@ fn run_level_scaling_probe(smoke: bool) -> Json {
                 timing,
                 system.1,
                 1 + i as u64,
-                Engine {
-                    partitions: 1,
-                    coalescing: true,
-                },
             )
         });
         let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -437,223 +376,6 @@ fn run_level_scaling_probe(smoke: bool) -> Json {
         ),
         ("points".into(), Json::Arr(points)),
     ])
-}
-
-/// Measure *in-run* scaling: one simulation of one seed through the
-/// windowed [`PartitionedSim`] engine at increasing (partitions,
-/// threads), against the single-partition single-thread run of the same
-/// world as baseline. The merged event order — and therefore every
-/// measurement except wall time — is byte-identical at every point; the
-/// only thing this probe varies is how many OS threads chew the shard
-/// windows. On a single-core machine (`parallelism_available: 1`) the
-/// honest expectation is speedup ≤ 1 — threads just interleave and pay
-/// the windowing overhead; the numbers are recorded as measured, not
-/// massaged. ft4096 for the baseline (the acceptance-scale topology),
-/// ft64 for CI smoke.
-fn in_run_scaling_probe(smoke: bool) -> Json {
-    let all = scales();
-    let scale = if smoke { &all[1] } else { &all[3] };
-    let system = systems()[1]; // dual-layer: the paper's full protocol
-    let topo = (scale.build)();
-    let timing = (scale.timing)(&topo);
-    let tables = Arc::new(PathTables::compute(&topo));
-    let workload = bench_workload(&topo, 1);
-    let mut points = Vec::new();
-    let mut base_secs = 0.0;
-    let mut base_events = 0u64;
-    for (partitions, threads) in [(1usize, 1usize), (4, 2), (4, 4)] {
-        let (world, batch) = build_world(&topo, &tables, &workload, timing, system.1, 1);
-        let part = PodPartitioner::new(&topo, partitions);
-        let mut sim = PartitionedSim::new(world, &part, threads)
-            .expect("bench configs satisfy the partitioned-engine preconditions");
-        sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
-        let start = std::time::Instant::now();
-        sim.run_until(horizon())
-            .expect("pod cut violated its own lookahead");
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        if points.is_empty() {
-            base_secs = secs;
-            base_events = sim.events_delivered();
-        } else {
-            assert_eq!(
-                sim.events_delivered(),
-                base_events,
-                "partitioned run diverged from its own baseline"
-            );
-        }
-        points.push(Json::Obj(vec![
-            ("partitions".into(), Json::Num(partitions as f64)),
-            ("threads".into(), Json::Num(threads as f64)),
-            ("wall_secs".into(), Json::Num(secs)),
-            ("speedup".into(), Json::Num(base_secs / secs)),
-        ]));
-    }
-    Json::Obj(vec![
-        ("scale".into(), Json::Str(scale.name.into())),
-        ("system".into(), Json::Str(system.0.into())),
-        ("events".into(), Json::Num(base_events as f64)),
-        (
-            "parallelism_available".into(),
-            Json::Num(parallelism_available() as f64),
-        ),
-        ("points".into(), Json::Arr(points)),
-    ])
-}
-
-/// One entry of the artifact's mandatory `partitioning` section: run the
-/// scale's seed-1 dual-layer workload through [`PartitionedSim`] at a
-/// *fixed* partition count and record the deterministic shape of the
-/// partitioned execution — lookahead, window count, per-shard event
-/// counts. Every field is a pure function of (topology, workload, cut),
-/// so the section is byte-identical no matter what `--partitions` or
-/// `--threads` the artifact was generated with.
-fn partition_entry(scale: &Scale, partitions: usize) -> Json {
-    let topo = (scale.build)();
-    let timing = (scale.timing)(&topo);
-    let tables = Arc::new(PathTables::compute(&topo));
-    let workload = bench_workload(&topo, 1);
-    let system = systems()[1];
-    let (world, batch) = build_world(&topo, &tables, &workload, timing, system.1, 1);
-    let part = PodPartitioner::new(&topo, partitions);
-    let mut sim = PartitionedSim::new(world, &part, 1)
-        .expect("bench configs satisfy the partitioned-engine preconditions");
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
-    sim.run_until(horizon())
-        .expect("pod cut violated its own lookahead");
-    let per_partition: Vec<Json> = sim
-        .shard_events()
-        .iter()
-        .map(|&n| Json::Num(n as f64))
-        .collect();
-    Json::Obj(vec![
-        ("scale".into(), Json::Str(scale.name.into())),
-        ("nodes".into(), Json::Num(topo.node_count() as f64)),
-        ("flows".into(), Json::Num(workload.updates.len() as f64)),
-        ("partitions".into(), Json::Num(sim.partitions() as f64)),
-        (
-            "lookahead_ms".into(),
-            Json::Num(sim.lookahead().as_millis_f64()),
-        ),
-        ("windows".into(), Json::Num(sim.windows() as f64)),
-        ("events".into(), Json::Num(sim.events_delivered() as f64)),
-        ("per_partition_events".into(), Json::Arr(per_partition)),
-    ])
-}
-
-/// The fixed partition count the `partitioning` section is probed at —
-/// independent of `--partitions` so the artifact is reproducible.
-const PROBE_PARTITIONS: usize = 4;
-
-/// The artifact's mandatory `partitioning` section: the deterministic
-/// execution shape of the windowed engine on ft64 (smoke) or ft4096 plus
-/// the parallel-only ft32768 scale (full).
-fn partitioning_probe(smoke: bool) -> Json {
-    let all = scales();
-    let mut entries = Vec::new();
-    if smoke {
-        entries.push(partition_entry(&all[1], PROBE_PARTITIONS));
-    } else {
-        entries.push(partition_entry(&all[3], PROBE_PARTITIONS));
-        entries.push(ft32768_probe(192));
-    }
-    Json::Obj(vec![("scales".into(), Json::Arr(entries))])
-}
-
-/// One timed windowed run for the `overhead` section: the scale's seed-1
-/// dual-layer workload at a fixed (partitions, coalescing) setting on a
-/// single in-run worker. Returns (wall seconds, windows, events).
-fn overhead_run(
-    topo: &Topology,
-    tables: &Arc<PathTables>,
-    workload: &Workload,
-    timing: TimingConfig,
-    partitions: usize,
-    coalescing: bool,
-) -> (f64, u64, u64) {
-    let (world, batch) = build_world(topo, tables, workload, timing, systems()[1].1, 1);
-    let part = PodPartitioner::new(topo, partitions);
-    let mut sim = PartitionedSim::new(world, &part, 1)
-        .expect("bench configs satisfy the partitioned-engine preconditions")
-        .with_coalescing(coalescing);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
-    let start = std::time::Instant::now();
-    sim.run_until(horizon())
-        .expect("pod cut violated its own lookahead");
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    (secs, sim.windows(), sim.events_delivered())
-}
-
-/// The artifact's mandatory `overhead` section for one scale: the
-/// sequential baseline timed against the windowed engine at
-/// partitions ∈ {1, 4} with coalescing/serial phases on and off. Window
-/// counts and events-per-window are pure functions of (workload, seed,
-/// cut, coalescing) — the engine's round decisions are front-driven, so
-/// they are thread- and machine-invariant and survive
-/// [`crate::json::strip_timing`]; the wall fields are measurements and
-/// get stripped. The section quantifies what the coalesced/serial-phase
-/// machinery buys: the barrier count collapses while the event stream —
-/// asserted here against the sequential run — stays byte-identical.
-fn overhead_section(scale: &Scale) -> Json {
-    let topo = (scale.build)();
-    let timing = (scale.timing)(&topo);
-    let tables = Arc::new(PathTables::compute(&topo));
-    let workload = bench_workload(&topo, 1);
-    let system = systems()[1];
-
-    let (world, batch) = build_world(&topo, &tables, &workload, timing, system.1, 1);
-    let mut sim = simulation(world);
-    sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
-    let start = std::time::Instant::now();
-    let _ = sim.run_until(horizon());
-    let seq_secs = start.elapsed().as_secs_f64().max(1e-9);
-    let seq_events = sim.events_delivered();
-
-    let mut points = Vec::new();
-    for (partitions, coalescing) in [(1usize, true), (1, false), (4, true), (4, false)] {
-        let (secs, windows, events) =
-            overhead_run(&topo, &tables, &workload, timing, partitions, coalescing);
-        assert_eq!(
-            events, seq_events,
-            "windowed run diverged from the sequential baseline"
-        );
-        points.push(Json::Obj(vec![
-            ("partitions".into(), Json::Num(partitions as f64)),
-            ("coalescing".into(), Json::Bool(coalescing)),
-            ("windows".into(), Json::Num(windows as f64)),
-            (
-                "events_per_window".into(),
-                Json::Num((events as f64 / windows.max(1) as f64).round()),
-            ),
-            ("wall_secs".into(), Json::Num(secs)),
-            (
-                "wall_ratio_vs_sequential".into(),
-                Json::Num(secs / seq_secs),
-            ),
-        ]));
-    }
-    Json::Obj(vec![
-        ("scale".into(), Json::Str(scale.name.into())),
-        ("system".into(), Json::Str(system.0.into())),
-        ("events".into(), Json::Num(seq_events as f64)),
-        ("sequential_wall_secs".into(), Json::Num(seq_secs)),
-        ("points".into(), Json::Arr(points)),
-    ])
-}
-
-/// The `overhead` section: ft4096 (the acceptance scale) for the full
-/// artifact, ft64 for CI smoke.
-fn overhead_probe(smoke: bool) -> Json {
-    let all = scales();
-    overhead_section(if smoke { &all[1] } else { &all[3] })
-}
-
-/// The gate script's FAST-skippable overhead smoke: the ft512 `overhead`
-/// section, measured live. `scripts/check.sh` fails the gate when the
-/// 4-partition coalescing-on wall ratio exceeds 3x the sequential run
-/// (the committed full artifact must show ≤ 2x on ft4096; the looser
-/// smoke bound absorbs CI machine noise at the smaller scale).
-pub fn overhead_smoke() -> Json {
-    overhead_section(&scales()[2])
 }
 
 /// Hand-rolled cross-pod migrations for the 32768-switch fat-tree.
@@ -691,65 +413,64 @@ fn ft32768_updates(topo: &Topology, flows: usize) -> Vec<FlowUpdate> {
         .collect()
 }
 
-/// The 32768-switch scale, run through the partitioned stack: its
-/// [`PathTables`] stay empty (the NormalMs control model never consults a
-/// row), and the sharded windowed engine keeps per-partition state. Runs
+/// The 32768-switch scale: its [`PathTables`] stay empty (the NormalMs control model never consults a row). Runs
 /// `flows` cross-pod migrations (192 for the baseline artifact; CI smoke
-/// uses fewer via `--ft32768-smoke`) under the dual-layer protocol on an
-/// 8-way pod cut and reports the same deterministic shape as
-/// [`partition_entry`] plus wall-clock throughput (which
-/// [`crate::json::strip_timing`] removes).
-pub fn ft32768_probe(flows: usize) -> Json {
+/// uses fewer via `--ft32768-smoke`) under the dual-layer protocol and
+/// reports the deterministic shape (scale, nodes, flows, events) plus
+/// wall-clock throughput (which [`crate::json::strip_timing`] removes).
+/// The run checks itself: it is an error unless the queue drained and
+/// every flow completed, with none stranded. 32 flows deliver 1,365
+/// events and 192 flows deliver 8,348.
+pub fn ft32768_probe(flows: usize) -> Result<Json, String> {
     let topo = topologies::synthetic_fat_tree_32768();
+    let nodes = topo.node_count();
     let tables = Arc::new(PathTables::compute(&topo));
     let updates = ft32768_updates(&topo, flows);
     let config = SimConfig::new(TimingConfig::fat_tree(), 1).with_analysis_gate(false);
-    let mut world = NetworkSim::with_path_tables(
-        topo.clone(),
-        systems()[1].1,
-        config,
-        None,
-        Arc::clone(&tables),
-    )
-    .with_metrics_sink(Box::new(StreamingMetrics::new()));
+    let mut world = NetworkSim::with_path_tables(topo, systems()[1].1, config, None, tables)
+        .with_metrics_sink(Box::new(StreamingMetrics::new()));
     for u in &updates {
         if let Some(old) = &u.old_path {
             world.install_initial_path(u.flow, old, u.size);
         }
     }
-    let batch = world.add_batch(updates.clone());
-    let part = PodPartitioner::new(&topo, 8);
-    let mut sim = PartitionedSim::new(world, &part, 1)
-        .expect("fat-tree timing satisfies the partitioned-engine preconditions");
+    let batch = world.add_batch(updates);
+    let mut sim = simulation(world);
     sim.schedule_at(SimTime::ZERO, Event::Trigger { batch });
     let start = std::time::Instant::now();
-    sim.run_until(horizon())
-        .expect("pod cut violated its own lookahead");
+    let outcome = sim.run_until(horizon());
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     let events = sim.events_delivered();
-    let per_partition: Vec<Json> = sim
-        .shard_events()
+    let mut world = sim.into_world();
+    if !outcome.drained() {
+        return Err(format!("ft32768: queue did not drain ({outcome:?})"));
+    }
+    let stranded = world.record_stranded_flows().len();
+    let mut completed: Vec<FlowId> = world
+        .sink()
+        .completions()
         .iter()
-        .map(|&n| Json::Num(n as f64))
+        .map(|&(_, f, _)| f)
         .collect();
-    Json::Obj(vec![
+    completed.sort_unstable();
+    completed.dedup();
+    if completed.len() != flows || stranded != 0 {
+        return Err(format!(
+            "ft32768: {} of {flows} flows completed, {stranded} stranded",
+            completed.len()
+        ));
+    }
+    Ok(Json::Obj(vec![
         ("scale".into(), Json::Str("ft32768".into())),
-        ("nodes".into(), Json::Num(topo.node_count() as f64)),
+        ("nodes".into(), Json::Num(nodes as f64)),
         ("flows".into(), Json::Num(flows as f64)),
-        ("partitions".into(), Json::Num(sim.partitions() as f64)),
-        (
-            "lookahead_ms".into(),
-            Json::Num(sim.lookahead().as_millis_f64()),
-        ),
-        ("windows".into(), Json::Num(sim.windows() as f64)),
         ("events".into(), Json::Num(events as f64)),
-        ("per_partition_events".into(), Json::Arr(per_partition)),
         ("wall_secs".into(), Json::Num(secs)),
         (
             "events_per_sec".into(),
             Json::Num((events as f64 / secs).round()),
         ),
-    ])
+    ]))
 }
 
 /// Measure the static batch verifier's throughput: prepare one bench
@@ -829,15 +550,12 @@ fn analysis_probe(smoke: bool) -> Json {
     Json::Obj(vec![("scales".into(), Json::Arr(entries))])
 }
 
-/// Run the whole benchmark on `threads` workers, with each grid run
-/// going through the partitioned engine when `partitions > 1` and window
-/// coalescing per `coalescing` (the canonical timing-stripped artifact
-/// is byte-identical for every combination — the `partitioning` and
-/// `overhead` sections are probed at fixed settings precisely so the
-/// CLI flags can't change them). `smoke` restricts to the small scales
-/// and seed counts (< 10 s wall) for CI; the full run regenerates the
+/// Run the whole benchmark on `threads` workers (the canonical
+/// timing-stripped artifact is byte-identical for every thread count).
+/// `smoke` restricts to the small scales and seed counts (< 10 s wall)
+/// for CI and leaves out the ft32768 probe; the full run regenerates the
 /// committed baseline.
-pub fn run_bench(smoke: bool, threads: usize, partitions: usize, coalescing: bool) -> Json {
+pub fn run_bench(smoke: bool, threads: usize) -> Json {
     let mut scale_values = Vec::new();
     for scale in &scales() {
         let runs = if smoke {
@@ -848,26 +566,24 @@ pub fn run_bench(smoke: bool, threads: usize, partitions: usize, coalescing: boo
         if runs == 0 {
             continue;
         }
-        let result = run_scale(scale, runs, threads, partitions, coalescing);
+        let result = run_scale(scale, runs, threads);
         scale_values.push(scale_to_json(&result));
     }
-    let scaling = Json::Obj(vec![
-        ("run_level".into(), run_level_scaling_probe(smoke)),
-        ("in_run".into(), in_run_scaling_probe(smoke)),
-    ]);
-    let partitioning = partitioning_probe(smoke);
-    let overhead = overhead_probe(smoke);
+    let scaling = Json::Obj(vec![("run_level".into(), run_level_scaling_probe(smoke))]);
     let analysis = analysis_probe(smoke);
-    Json::Obj(vec![
+    let mut members = vec![
         ("schema".into(), Json::Str(SCHEMA.into())),
         ("load_factor".into(), Json::Num(LOAD_FACTOR)),
         ("smoke".into(), Json::Bool(smoke)),
         ("thread_scaling".into(), scaling),
-        ("partitioning".into(), partitioning),
-        ("overhead".into(), overhead),
         ("analysis".into(), analysis),
-        ("scales".into(), Json::Arr(scale_values)),
-    ])
+    ];
+    if !smoke {
+        let ft32768 = ft32768_probe(192).unwrap_or_else(|e| panic!("{e}"));
+        members.push(("ft32768".into(), ft32768));
+    }
+    members.push(("scales".into(), Json::Arr(scale_values)));
+    Json::Obj(members)
 }
 
 fn scale_to_json(r: &ScaleResult) -> Json {
@@ -912,7 +628,7 @@ fn scale_to_json(r: &ScaleResult) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{strip_timing, validate_report};
+    use crate::json::{strip_timing, validate_ft32768, validate_report};
     use p4update_net::{hop_distances_from, latency_distances_from, NodeId};
 
     /// The smallest cell end to end: every system completes the Fig.-1
@@ -920,7 +636,7 @@ mod tests {
     #[test]
     fn fig1_cell_runs_for_every_system() {
         let scale = &scales()[0];
-        let result = run_scale(scale, 1, 1, 1, true);
+        let result = run_scale(scale, 1, 1);
         assert_eq!(result.nodes, 8);
         assert_eq!(result.systems.len(), 4);
         for s in &result.systems {
@@ -938,7 +654,7 @@ mod tests {
 
     #[test]
     fn smoke_report_validates() {
-        let report = run_bench(true, 1, 1, true);
+        let report = run_bench(true, 1);
         validate_report(&report, 1).unwrap();
         // Smoke mode must not claim full-scale coverage.
         assert!(validate_report(&report, 4).is_err());
@@ -949,65 +665,9 @@ mod tests {
     /// four.
     #[test]
     fn thread_count_does_not_change_the_canonical_artifact() {
-        let serial = strip_timing(&run_bench(true, 1, 1, true)).to_string_pretty();
-        let sharded = strip_timing(&run_bench(true, 4, 1, true)).to_string_pretty();
+        let serial = strip_timing(&run_bench(true, 1)).to_string_pretty();
+        let sharded = strip_timing(&run_bench(true, 4)).to_string_pretty();
         assert_eq!(serial, sharded);
-    }
-
-    /// The in-run twin of the claim above: routing every grid run
-    /// through the 4-way partitioned engine leaves the canonical
-    /// artifact byte-identical to the sequential one.
-    #[test]
-    fn partition_count_does_not_change_the_canonical_artifact() {
-        let sequential = strip_timing(&run_bench(true, 1, 1, true)).to_string_pretty();
-        let partitioned = strip_timing(&run_bench(true, 1, 4, true)).to_string_pretty();
-        assert_eq!(sequential, partitioned);
-    }
-
-    /// The third leg of the determinism claim: disabling window
-    /// coalescing (pure fixed-lookahead windows) leaves the canonical
-    /// artifact byte-identical — the `overhead` and `partitioning`
-    /// probes run at fixed settings, and the grid runs' observables
-    /// never depended on the window shape.
-    #[test]
-    fn coalescing_does_not_change_the_canonical_artifact() {
-        let coalesced = strip_timing(&run_bench(true, 1, 4, true)).to_string_pretty();
-        let fixed = strip_timing(&run_bench(true, 1, 4, false)).to_string_pretty();
-        assert_eq!(coalesced, fixed);
-    }
-
-    /// The `overhead` section is mandatory in v4: it must be present,
-    /// cover the (partitions, coalescing) grid, and show the ≥5x window
-    /// reduction that justifies its existence.
-    #[test]
-    fn validation_checks_the_overhead_section() {
-        let report = run_bench(true, 1, 1, true);
-        let mut stripped = report.clone();
-        if let Json::Obj(members) = &mut stripped {
-            members.retain(|(k, _)| k != "overhead");
-        }
-        let err = validate_report(&stripped, 1).unwrap_err();
-        assert!(err.contains("overhead"), "unhelpful error: {err}");
-
-        // Tamper the window counts: rewriting every `windows` field to
-        // the same value erases the coalesced-vs-fixed reduction, and
-        // the ≥5x pin must fire.
-        let text = report.to_string_pretty();
-        let mut broken = String::new();
-        for line in text.lines() {
-            if line.trim_start().starts_with("\"windows\":") && line.ends_with(',') {
-                let indent = &line[..line.len() - line.trim_start().len()];
-                broken.push_str(&format!("{indent}\"windows\": 1000,\n"));
-            } else {
-                broken.push_str(line);
-                broken.push('\n');
-            }
-        }
-        let err = validate_report(&Json::parse(&broken).unwrap(), 1).unwrap_err();
-        assert!(
-            err.contains("5x") || err.contains("windows"),
-            "unhelpful error: {err}"
-        );
     }
 
     /// Rows that pool workers race to fill are bit-equal to a sequential
@@ -1045,22 +705,20 @@ mod tests {
         let topo = topologies::synthetic_fat_tree_512();
         let tables = Arc::new(PathTables::compute(&topo));
         let workload = bench_workload(&topo, 1);
-        let engine = Engine {
-            partitions: 1,
-            coalescing: true,
-        };
         let system = System::P4Update(Strategy::ForceDual);
-        let m = run_once(
-            &topo,
-            &tables,
-            &workload,
-            dc_timing(&topo),
-            system,
-            1,
-            engine,
-        );
+        let m = run_once(&topo, &tables, &workload, dc_timing(&topo), system, 1);
         assert_eq!(m.fct_ms.len(), workload.updates.len());
         assert_eq!(tables.rows_materialized(), 0);
+    }
+
+    /// The 32768-switch scale runs on the sequential engine: the queue
+    /// drains, every flow completes, and the event count is the one the
+    /// windowed engine delivered on the same run.
+    #[test]
+    fn ft32768_probe_delivers_the_pinned_event_count() {
+        let entry = ft32768_probe(32).unwrap();
+        assert_eq!(entry.get("nodes").and_then(Json::as_f64), Some(32768.0));
+        assert_eq!(entry.get("events").and_then(Json::as_f64), Some(1365.0));
     }
 
     /// `parallel_map` preserves input order for every thread count,
@@ -1076,11 +734,11 @@ mod tests {
 
     #[test]
     fn validation_rejects_tampered_reports() {
-        let report = run_bench(true, 1, 1, true);
+        let report = run_bench(true, 1);
         let text = report.to_string_pretty();
         validate_report(&Json::parse(&text).unwrap(), 1).unwrap();
 
-        let broken = text.replace("p4update-bench-v4", "other-schema");
+        let broken = text.replace(SCHEMA, "other-schema");
         assert!(validate_report(&Json::parse(&broken).unwrap(), 1).is_err());
 
         let broken = text.replace("\"ez-segway\"", "\"renamed\"");
@@ -1090,52 +748,62 @@ mod tests {
         assert!(validate_report(&Json::parse(&broken).unwrap(), 1).is_err());
     }
 
-    /// Superseded schema tags (v1: no `thread_scaling`; v2: flat
-    /// `thread_scaling`, no `partitioning` section) must both be
-    /// rejected, with the offending tag named in the error.
+    /// Superseded schema tags must all be rejected, with the offending
+    /// tag named in the error.
     #[test]
     fn validation_rejects_superseded_schemas() {
-        let report = run_bench(true, 1, 1, true);
+        let report = run_bench(true, 1);
         for old in [
             "p4update-bench-v1",
             "p4update-bench-v2",
             "p4update-bench-v3",
+            "p4update-bench-v4",
         ] {
-            let text = report.to_string_pretty().replace("p4update-bench-v4", old);
+            let text = report.to_string_pretty().replace(SCHEMA, old);
             let err = validate_report(&Json::parse(&text).unwrap(), 1).unwrap_err();
             assert!(err.contains(old), "unhelpful error: {err}");
         }
     }
 
-    /// The `partitioning` section is mandatory in v3 and its per-shard
-    /// event counts must add up to the entry's event total.
+    /// A full artifact must carry the `ft32768` entry, with positive
+    /// counts; its timing fields go with `strip_timing`.
     #[test]
-    fn validation_checks_the_partitioning_section() {
-        let report = run_bench(true, 1, 1, true);
-        let mut stripped = report.clone();
-        if let Json::Obj(members) = &mut stripped {
-            members.retain(|(k, _)| k != "partitioning");
-        }
-        let err = validate_report(&stripped, 1).unwrap_err();
-        assert!(err.contains("partitioning"), "unhelpful error: {err}");
+    fn validation_checks_the_ft32768_entry() {
+        let entry = |events: f64| {
+            Json::Obj(vec![
+                ("scale".into(), Json::Str("ft32768".into())),
+                ("nodes".into(), Json::Num(32768.0)),
+                ("flows".into(), Json::Num(32.0)),
+                ("events".into(), Json::Num(events)),
+                ("wall_secs".into(), Json::Num(0.01)),
+                ("events_per_sec".into(), Json::Num(events * 100.0)),
+            ])
+        };
+        validate_ft32768(&entry(1365.0)).unwrap();
+        let err = validate_ft32768(&entry(0.0)).unwrap_err();
+        assert!(err.contains("events"), "unhelpful error: {err}");
+        let stripped = strip_timing(&Json::Obj(vec![("ft32768".into(), entry(1365.0))]));
+        let stripped = stripped.get("ft32768").unwrap();
+        assert!(stripped.get("wall_secs").is_none() && stripped.get("events_per_sec").is_none());
+        validate_ft32768(stripped).unwrap();
 
-        let text = report.to_string_pretty();
-        let broken = text.replace(
-            "\"per_partition_events\": [",
-            "\"per_partition_events\": [999, ",
-        );
-        let err = validate_report(&Json::parse(&broken).unwrap(), 1).unwrap_err();
-        assert!(
-            err.contains("per_partition_events"),
-            "unhelpful error: {err}"
-        );
+        let mut report = run_bench(true, 1);
+        if let Json::Obj(members) = &mut report {
+            for (k, v) in members.iter_mut() {
+                if k == "smoke" {
+                    *v = Json::Bool(false);
+                }
+            }
+        }
+        let err = validate_report(&report, 1).unwrap_err();
+        assert!(err.contains("ft32768"), "unhelpful error: {err}");
     }
 
     /// Duplicate scale entries and duplicate system entries are both
     /// rejected even when every individual entry would validate.
     #[test]
     fn validation_rejects_duplicate_scales_and_systems() {
-        let report = run_bench(true, 1, 1, true);
+        let report = run_bench(true, 1);
 
         let mut dup_scale = report.clone();
         if let Json::Obj(members) = &mut dup_scale {

@@ -7,8 +7,6 @@
 //!   UIB (Table 1).
 //! - [`ExactTable`]: match-action units with control-plane-installed entries
 //!   and finite capacity.
-//! - [`CloneEngine`]: packet cloning via configured sessions (UNM/UFM
-//!   generation).
 //! - [`ResubmitQueue`]: data-plane waiting via packet resubmission
 //!   (Appendix B — "P4Update uses packet resubmission to check repeatedly if
 //!   UIM has arrived while processing UNM").
@@ -24,6 +22,6 @@ mod primitives;
 mod register;
 mod table;
 
-pub use primitives::{CloneEngine, CloneSession, ResubmitQueue};
+pub use primitives::ResubmitQueue;
 pub use register::RegisterArray;
 pub use table::{ExactTable, TableError, TableHit};

@@ -13,7 +13,6 @@ pub mod checker;
 pub mod config;
 pub mod metrics;
 pub mod network;
-pub mod partition;
 pub mod table;
 
 pub use checker::{check, FlowSpec, Violation};
@@ -27,5 +26,4 @@ pub use network::{
     PathTables, System,
 };
 pub use p4update_messages::ByzVector;
-pub use partition::{event_router, LookaheadViolation, PartitionedSim};
 pub use table::SwitchTable;

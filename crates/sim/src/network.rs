@@ -118,7 +118,7 @@ pub enum ControllerImpl {
 }
 
 impl ControllerImpl {
-    pub(crate) fn as_logic(&mut self) -> &mut dyn ControllerLogic {
+    fn as_logic(&mut self) -> &mut dyn ControllerLogic {
         match self {
             ControllerImpl::P4(c) => c,
             ControllerImpl::Ez(c) => c,
@@ -130,15 +130,15 @@ impl ControllerImpl {
 /// One in-flight byzantine-corrupted message: recorded when the lie is
 /// scheduled, consumed (and classified into a [`ByzOutcome`]) when the
 /// receiver processes it.
-pub(crate) struct ByzTaint {
+struct ByzTaint {
     /// Where the corrupted copy is headed.
-    pub(crate) dest: Endpoint,
+    dest: Endpoint,
     /// The corrupted payload (matched by equality at delivery).
-    pub(crate) msg: Message,
+    msg: Message,
     /// Which catalog vector produced it.
-    pub(crate) vector: ByzVector,
+    vector: ByzVector,
     /// The lying switch.
-    pub(crate) liar: NodeId,
+    liar: NodeId,
 }
 
 /// What a byzantine-corrupted message did at its receiver — the raw
@@ -213,9 +213,11 @@ pub enum Event {
     /// domain (only under [`ControlLatency::NormalMs`]): it left `from` at
     /// `sent_at` and this event fires at `sent_at + floor_ms`, where the
     /// *controller side* draws the actual latency and schedules the
-    /// [`Event::DeliverToController`]. Relocating the draw makes all RNG
-    /// consumption controller-local, which is what lets the partitioned
-    /// engine reproduce the sequential stream exactly.
+    /// [`Event::DeliverToController`]. The draw stays here, not at the
+    /// sender, because it fixes the order of RNG draws and the event
+    /// stream: the corpus traces' pinned event counts, the pinned
+    /// multi-flow results and the benchmark's event and per-kind counts
+    /// all depend on it.
     CtrlIngress {
         /// Sending switch.
         from: NodeId,
@@ -271,35 +273,31 @@ pub enum Event {
 }
 
 /// The simulated network world.
-///
-/// Fields the partitioned engine (`crate::partition`) splits across shards
-/// are `pub(crate)`: it dismantles a `NetworkSim` into per-partition state,
-/// runs the window loop, and reassembles an equivalent world.
 pub struct NetworkSim {
-    pub(crate) topo: Topology,
+    topo: Topology,
     /// Per-switch chassis, densely indexed by [`NodeId`].
     pub switches: SwitchTable,
     /// The controller.
     pub controller: ControllerImpl,
-    pub(crate) config: SimConfig,
-    pub(crate) rng: SimRng,
+    config: SimConfig,
+    rng: SimRng,
     /// Shared all-pairs shortest-path tables (see [`PathTables`]).
-    pub(crate) tables: Arc<PathTables>,
+    tables: Arc<PathTables>,
     /// Serial-processing horizon per switch, indexed by `NodeId::index`.
-    pub(crate) switch_busy: Vec<SimTime>,
+    switch_busy: Vec<SimTime>,
     /// Whether each switch has an armed resubmission poll loop.
-    pub(crate) polling: Vec<bool>,
+    polling: Vec<bool>,
     /// Serial-processing horizon of the controller.
-    pub(crate) ctrl_busy: SimTime,
+    ctrl_busy: SimTime,
     /// Update batches by trigger index.
-    pub(crate) batches: Vec<Vec<FlowUpdate>>,
+    batches: Vec<Vec<FlowUpdate>>,
     /// Flow specs for the checker and metrics.
     pub flows: BTreeMap<FlowId, FlowSpec>,
     /// Where measurements go; defaults to the full-recording [`Metrics`].
-    pub(crate) sink: Box<dyn MetricsSink>,
+    sink: Box<dyn MetricsSink>,
     /// Reusable effect buffer: taken at the top of each hot event arm and
     /// put back cleared, so the event loop allocates nothing per event.
-    pub(crate) scratch: Vec<Effect>,
+    scratch: Vec<Effect>,
     /// Violations found by per-event checking (paranoid mode).
     pub violations: Vec<(SimTime, Violation)>,
     /// Findings of the static analysis gate (`SimConfig::analysis_gate`):
@@ -309,20 +307,20 @@ pub struct NetworkSim {
     /// The previous gate pass, kept so the next triggered batch is
     /// revalidated incrementally ([`BatchAnalyzer::reanalyze`]) instead of
     /// re-linted from scratch.
-    pub(crate) gate_cache: Option<BatchAnalysis>,
+    gate_cache: Option<BatchAnalysis>,
     /// Work counters of the incremental analysis gate.
     pub gate_stats: GateStats,
     /// Switches that have taken a lying alternative at a byzantine choice
     /// point, in first-lie order (bounds enforcement for
     /// `ByzantineConfig::max_liars`).
-    pub(crate) liars: Vec<NodeId>,
+    liars: Vec<NodeId>,
     /// In-flight corrupted messages awaiting delivery classification.
-    pub(crate) byz_taints: Vec<ByzTaint>,
+    byz_taints: Vec<ByzTaint>,
     /// Per-lie classification log (see [`ByzOutcome`]).
     pub byz_outcomes: Vec<ByzOutcome>,
     /// Standby controller replicas (shadow state machines; see
     /// [`crate::config::ReplicationConfig`]).
-    pub(crate) standbys: Vec<ControllerImpl>,
+    standbys: Vec<ControllerImpl>,
     /// Whether [`Event::ControllerFailover`] has fired.
     pub failed_over: bool,
 }

@@ -67,18 +67,6 @@ impl SwitchTable {
             .enumerate()
             .map(|(i, sw)| (NodeId(i as u32), sw))
     }
-
-    /// Dismantle the table into its switches (ascending `NodeId` order).
-    /// The partitioned engine distributes these across shard-local tables
-    /// and reassembles with [`SwitchTable::from_switches`] afterwards.
-    pub(crate) fn into_switches(self) -> Vec<Switch> {
-        self.switches
-    }
-
-    /// Reassemble a table from switches in ascending `NodeId` order.
-    pub(crate) fn from_switches(switches: Vec<Switch>) -> Self {
-        SwitchTable { switches }
-    }
 }
 
 impl Index<NodeId> for SwitchTable {

@@ -1,48 +1,38 @@
 //! Performance baseline runner: drives the multi-flow scale benchmark and
 //! writes `BENCH_p4update.json` (events/sec, peak queue depth, p50/p99
 //! flow-completion times and stranded-flow counts for every
-//! scale × system cell, plus a run-level thread-scaling probe).
+//! scale × system cell, plus a run-level thread-scaling probe and the
+//! 32768-switch run).
 //!
 //! ```sh
 //! cargo run --release --example perf              # full run, writes BENCH_p4update.json
 //! cargo run --example perf -- --smoke             # CI smoke: small scales, schema check only
 //! cargo run --example perf -- --smoke --out /tmp/a.json --strip-timing
 //! cargo run --example perf -- --check BENCH_p4update.json   # validate an existing artifact
-//! cargo run --release --example perf -- --threads 4 --partitions 4
-//! cargo run --release --example perf -- --ft32768-smoke 32  # parallel-only scale, alone
+//! cargo run --release --example perf -- --threads 4
+//! cargo run --release --example perf -- --ft32768-smoke 32  # the 32768-switch run, alone
 //! ```
 //!
-//! `--threads N` shards the (system × seed) grid over N workers;
-//! `--partitions P` routes every grid run through the windowed
-//! partitioned engine on a P-way pod cut, and `--no-coalescing`
-//! disables window coalescing/serial phases in those runs. The
+//! `--threads N` shards the (system × seed) grid over N workers. The
 //! `--strip-timing` output (wall-clock fields removed) is byte-identical
-//! for any N, any P, *and either coalescing setting*, which
-//! `scripts/check.sh` verifies by diffing 1-vs-4-thread,
-//! 1-vs-4-partition, and coalescing-on-vs-off smoke runs.
-//! `--ft32768-smoke F` runs only the 32768-switch partitioned probe with
+//! for any N, which `scripts/check.sh` verifies by diffing 1-vs-4-thread
+//! smoke runs. `--ft32768-smoke F` runs only the 32768-switch probe with
 //! F flows and prints its entry — the quick CI-sized version of the full
-//! artifact's ft32768 section. `--overhead-smoke` runs the ft512
-//! overhead probe (sequential vs windowed at 4 partitions / 1 worker)
-//! and exits non-zero when the coalescing-on wall ratio exceeds 3x.
+//! artifact's `ft32768` entry; it exits non-zero unless the queue
+//! drained and every flow completed.
 //!
 //! The full run should be made from a release build on an otherwise idle
 //! machine; the committed baseline's absolute numbers are indicative, not
 //! normative — `--check` validates shape, not throughput.
 
-use p4update::perf::{
-    ft32768_probe, overhead_smoke, run_bench, strip_timing, validate_report, Json,
-};
+use p4update::perf::{ft32768_probe, run_bench, strip_timing, validate_report, Json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut strip = false;
     let mut threads = 1usize;
-    let mut partitions = 1usize;
-    let mut coalescing = true;
     let mut ft32768_flows: Option<usize> = None;
-    let mut overhead = false;
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
     let mut i = 0;
@@ -50,8 +40,6 @@ fn main() {
         match args[i].as_str() {
             "--smoke" => smoke = true,
             "--strip-timing" => strip = true,
-            "--no-coalescing" => coalescing = false,
-            "--overhead-smoke" => overhead = true,
             "--threads" => {
                 i += 1;
                 threads = args
@@ -59,14 +47,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("--threads needs a positive integer"));
-            }
-            "--partitions" => {
-                i += 1;
-                partitions = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--partitions needs a positive integer"));
             }
             "--ft32768-smoke" => {
                 i += 1;
@@ -99,33 +79,8 @@ fn main() {
     }
 
     if let Some(flows) = ft32768_flows {
-        let entry = ft32768_probe(flows);
+        let entry = ft32768_probe(flows).unwrap_or_else(|e| fail(&e));
         println!("{}", entry.to_string_pretty());
-        return;
-    }
-
-    if overhead {
-        let section = overhead_smoke();
-        println!("{}", section.to_string_pretty());
-        let ratio = section
-            .get("points")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .find(|p| {
-                p.get("partitions").and_then(Json::as_f64) == Some(4.0)
-                    && p.get("coalescing").and_then(Json::as_bool) == Some(true)
-            })
-            .and_then(|p| p.get("wall_ratio_vs_sequential"))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| fail("overhead smoke emitted no 4-partition coalescing point"));
-        if ratio > 3.0 {
-            fail(&format!(
-                "overhead smoke: 4-partition windowed run is {ratio:.2}x the sequential \
-                 wall time (limit 3x)"
-            ));
-        }
-        println!("overhead smoke ok (wall ratio {ratio:.2}x)");
         return;
     }
 
@@ -145,7 +100,7 @@ fn main() {
     if !smoke && cfg!(debug_assertions) {
         eprintln!("note: full run in a debug build; use --release for baseline numbers");
     }
-    let report = run_bench(smoke, threads, partitions, coalescing);
+    let report = run_bench(smoke, threads);
     let min_scales = if smoke { 1 } else { 4 };
     if let Err(e) = validate_report(&report, min_scales) {
         fail(&format!("generated report failed validation: {e}"));
@@ -207,58 +162,25 @@ fn print_summary(report: &p4update::perf::Json) {
                 );
             }
         }
-        if let Some(ir) = ts.get("in_run") {
-            let scale = ir.get("scale").and_then(Json::as_str).unwrap_or("?");
-            let avail = ir
-                .get("parallelism_available")
+    }
+    if let Some(e) = report.get("ft32768") {
+        println!(
+            "ft32768 ({:.0} switches, {:.0} flows): {:.0} events   {:.0} events/s",
+            e.get("nodes").and_then(Json::as_f64).unwrap_or(0.0),
+            e.get("flows").and_then(Json::as_f64).unwrap_or(0.0),
+            e.get("events").and_then(Json::as_f64).unwrap_or(0.0),
+            e.get("events_per_sec")
                 .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            println!("in-run partitioned scaling ({scale}, {avail:.0} cores available):");
-            for p in ir.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
-                println!(
-                    "  {:>2.0} partitions x {:>2.0} threads   {:>7.2} s   speedup {:>5.2}x",
-                    p.get("partitions").and_then(Json::as_f64).unwrap_or(0.0),
-                    p.get("threads").and_then(Json::as_f64).unwrap_or(0.0),
-                    p.get("wall_secs").and_then(Json::as_f64).unwrap_or(0.0),
-                    p.get("speedup").and_then(Json::as_f64).unwrap_or(0.0),
-                );
-            }
-        }
-    }
-    if let Some(part) = report.get("partitioning") {
-        println!("partitioned-engine shape (fixed cut):");
-        for e in part.get("scales").and_then(Json::as_arr).unwrap_or(&[]) {
-            println!(
-                "  {:<8} {:>4.0} partitions   lookahead {:>6.2} ms   {:>7.0} windows   {:>9.0} events",
-                e.get("scale").and_then(Json::as_str).unwrap_or("?"),
-                e.get("partitions").and_then(Json::as_f64).unwrap_or(0.0),
-                e.get("lookahead_ms").and_then(Json::as_f64).unwrap_or(0.0),
-                e.get("windows").and_then(Json::as_f64).unwrap_or(0.0),
-                e.get("events").and_then(Json::as_f64).unwrap_or(0.0),
-            );
-        }
-    }
-    if let Some(ov) = report.get("overhead") {
-        let scale = ov.get("scale").and_then(Json::as_str).unwrap_or("?");
-        println!("per-window overhead ({scale}, vs sequential):");
-        for p in ov.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
-            println!(
-                "  {:>2.0} partitions, coalescing {:<5}   {:>7.0} windows   {:>6.0} events/window   wall ratio {:>5.2}x",
-                p.get("partitions").and_then(Json::as_f64).unwrap_or(0.0),
-                if p.get("coalescing").and_then(Json::as_bool).unwrap_or(false) { "on" } else { "off" },
-                p.get("windows").and_then(Json::as_f64).unwrap_or(0.0),
-                p.get("events_per_window").and_then(Json::as_f64).unwrap_or(0.0),
-                p.get("wall_ratio_vs_sequential").and_then(Json::as_f64).unwrap_or(0.0),
-            );
-        }
+                .unwrap_or(0.0),
+        );
     }
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: perf [--smoke] [--threads N] [--partitions P] [--no-coalescing] [--out PATH] \
-         [--strip-timing] [--check FILE] [--ft32768-smoke FLOWS] [--overhead-smoke]"
+        "usage: perf [--smoke] [--threads N] [--out PATH] [--strip-timing] [--check FILE] \
+         [--ft32768-smoke FLOWS]"
     );
     std::process::exit(2);
 }

@@ -84,24 +84,6 @@ cargo run -q --release --example perf -- --smoke --threads 1 --strip-timing --ou
 cargo run -q --release --example perf -- --smoke --threads 4 --strip-timing --out "$tmpdir/t4.json"
 cmp "$tmpdir/t1.json" "$tmpdir/t4.json"
 
-echo "==> partitioned engine is deterministic (1-partition vs 4-partition smoke)"
-cargo run -q --release --example perf -- --smoke --partitions 4 --strip-timing --out "$tmpdir/p4.json"
-cmp "$tmpdir/t1.json" "$tmpdir/p4.json"
-
-echo "==> window coalescing is observably inert (coalescing-off smoke vs baseline)"
-cargo run -q --release --example perf -- --smoke --partitions 4 --no-coalescing --strip-timing --out "$tmpdir/nc.json"
-cmp "$tmpdir/t1.json" "$tmpdir/nc.json"
-
-# The per-window overhead smoke re-measures the ft512 sequential-vs-windowed
-# wall ratio live (the committed ft4096 number is ≤2x; the smoke bound is 3x
-# to absorb CI machine noise). Wall-clock dependent, so FAST-skippable.
-if [[ "${FAST:-0}" != 1 ]]; then
-    echo "==> per-window overhead smoke (ft512, windowed 4p/1t must stay under 3x sequential)"
-    cargo run -q --release --example perf -- --overhead-smoke > /dev/null
-else
-    echo "==> per-window overhead smoke skipped (FAST=1)"
-fi
-
 # The repository benchmark (p4bench/) is a package of its own that nothing
 # above builds; a one-second central-ft4096 run proves it still compiles
 # against the facade and that every one of its output checks passes.
@@ -114,24 +96,25 @@ else
     echo "==> p4bench smoke skipped (FAST=1)"
 fi
 
-echo "==> committed BENCH_p4update.json validates against the schema (v4)"
+echo "==> committed BENCH_p4update.json validates against the schema (v5)"
 cargo run -q --release --example perf -- --check BENCH_p4update.json
 
-echo "==> schema validation rejects superseded artifacts (v1, v2, v3)"
-for old in v1 v2 v3; do
-    sed "s/p4update-bench-v4/p4update-bench-$old/" BENCH_p4update.json > "$tmpdir/$old.json"
+echo "==> schema validation rejects superseded artifacts (v1, v2, v3, v4)"
+for old in v1 v2 v3 v4; do
+    sed "s/p4update-bench-v5/p4update-bench-$old/" BENCH_p4update.json > "$tmpdir/$old.json"
     if cargo run -q --release --example perf -- --check "$tmpdir/$old.json" 2>/dev/null; then
         echo "error: the validator accepted an obsolete $old artifact" >&2
         exit 1
     fi
 done
 
-# The 32768-switch scale only exists through the partitioned engine (all-pairs
-# path tables would need ~16 GiB; the on-demand tables fill no row); the smoke
-# probe proves the pod cut path still works end to end. Skippable for quick
-# local iteration with FAST=1 — CI runs it.
+# The 32768-switch scale runs on the sequential engine like every other one
+# (all-pairs path tables would need ~16 GiB; the on-demand tables fill no
+# row). The probe exits non-zero unless the queue drains and all 32 flows
+# complete with none stranded. Skippable for quick local iteration with
+# FAST=1 — CI runs it.
 if [[ "${FAST:-0}" != 1 ]]; then
-    echo "==> ft32768 partitioned-only scale smoke (32 flows)"
+    echo "==> ft32768 scale smoke (32 flows, sequential engine)"
     cargo run -q --release --example perf -- --ft32768-smoke 32 > /dev/null
 else
     echo "==> ft32768 scale smoke skipped (FAST=1)"

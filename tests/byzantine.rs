@@ -23,18 +23,17 @@
 //! single forged-ack liar collapses loop freedom under search (the
 //! shrunk counterexamples live in `tests/corpus/`).
 //!
-//! The file also holds the satellite walls: the three-level no-drift
-//! differential (catalog installed but no lie taken ⇒ byte-identical
-//! behavior across the sequential, heap-backend, and sharded engines),
-//! the replicated-controller failover scenarios, and the trace format
-//! v2 round-trip property.
+//! The file also holds the satellite walls: the no-drift differential
+//! (catalog installed but no lie taken ⇒ byte-identical behavior across
+//! the calendar and heap queue backends), the replicated-controller
+//! failover scenarios, and the trace format v2 round-trip property.
 
 use p4update::des::propcheck::{cases, forall};
 use p4update::des::{ChoiceKind, QueueBackend, SimRng};
 use p4update::explore::scenarios::{self, SCENARIOS};
 use p4update::explore::search::{random_walk, WalkOptions};
 use p4update::explore::trace::{ForcedChoice, FreePolicy, Trace, TraceChooser};
-use p4update::explore::{run, run_partitioned, run_with_backend, ChoiceRecord};
+use p4update::explore::{run, run_with_backend, ChoiceRecord};
 use p4update::messages::RejectReason;
 use p4update::net::{FlowId, NodeId, Version};
 use p4update::sim::{ByzDisposition, ByzVector};
@@ -500,8 +499,7 @@ fn shape(choices: &[ChoiceRecord], keep_byz: bool) -> Vec<(ChoiceKind, u32, u32)
 /// modifier under the default (honest) policy yields the same event
 /// count, drain flag, violation list, and non-byzantine choice sequence
 /// as the unmodified scenario — and the modified run itself replays
-/// identically through the heap queue backend and the pod-sharded
-/// engine. Three levels, like `tests/partition_equivalence.rs`.
+/// identically through the heap queue backend.
 #[test]
 fn catalog_without_lies_is_behaviorally_invisible() {
     for s in SCENARIOS {
@@ -534,7 +532,7 @@ fn catalog_without_lies_is_behaviorally_invisible() {
                 "{byz_name}@{seed}: non-byzantine choice sequence drifted"
             );
             if seed != 1 {
-                continue; // levels 2 and 3 once per scenario
+                continue; // the backend check once per scenario
             }
             let heap = run_with_backend(
                 &byz_name,
@@ -545,9 +543,6 @@ fn catalog_without_lies_is_behaviorally_invisible() {
             )
             .expect("heap backend runs");
             assert_eq!(byz, heap, "{byz_name}@{seed}: heap backend drifted");
-            let sharded = run_partitioned(&byz_name, seed, BTreeMap::new(), FreePolicy::Default, 2)
-                .expect("sharded engine runs");
-            assert_eq!(byz, sharded, "{byz_name}@{seed}: sharded engine drifted");
         }
     }
 }

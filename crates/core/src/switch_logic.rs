@@ -442,17 +442,20 @@ impl P4UpdateLogic {
                     self.blocked.insert(unm.flow, BlockedMove { from, unm });
                     // Raise the priority of flows that could free the
                     // contended link: active on it, staged to leave it.
-                    let mut raised = Vec::new();
-                    for g in state.uib.flows() {
-                        let ge = state.uib.read(g);
-                        if g != unm.flow
-                            && ge.active_next_hop == Some(new_hop)
-                            && ge.uim_version > ge.applied_version
-                            && ge.staged_next_hop != Some(new_hop)
-                        {
-                            state.uib.update(g, |e| e.priority = FlowPriority::High);
-                            raised.push(g);
-                        }
+                    let mut raised: Vec<FlowId> = state
+                        .uib
+                        .rows()
+                        .filter(|&(g, ge)| {
+                            g != unm.flow
+                                && ge.active_next_hop == Some(new_hop)
+                                && ge.uim_version > ge.applied_version
+                                && ge.staged_next_hop != Some(new_hop)
+                        })
+                        .map(|(g, _)| g)
+                        .collect();
+                    raised.sort_unstable();
+                    for &g in &raised {
+                        state.uib.update(g, |e| e.priority = FlowPriority::High);
                     }
                     // A raised flow blocked only by priority yielding can
                     // now pass: retry its move.
@@ -1092,6 +1095,111 @@ mod tests {
             v1.state.uib.read(FlowId(0)).active_next_hop,
             Some(NodeId(3))
         );
+    }
+
+    /// A move blocked on v1→v2 raises exactly the flows active there and
+    /// staged to leave it, then retries those it had parked in ascending
+    /// flow order.
+    #[test]
+    fn blocked_move_raises_leaving_flows_and_retries_them_in_order() {
+        let mut b = TopologyBuilder::new("fork");
+        let v: Vec<_> = (0..4).map(|i| b.add_node(format!("n{i}"))).collect();
+        for &n in &[v[0], v[2], v[3]] {
+            b.add_link(v[1], n, SimDuration::from_millis(1), 10.0);
+        }
+        let t = b.build();
+        let mut state = SwitchState::new(NodeId(1), &t);
+        let mut logic = P4UpdateLogic::new();
+        let mut out = Vec::new();
+        let unm = |flow: u32| Unm {
+            flow: FlowId(flow),
+            v_new: Version(2),
+            v_old: Version(1),
+            d_new: 0,
+            d_old: 0,
+            counter: 0,
+            kind: UpdateKind::Single,
+            layer: UnmLayer::Intra,
+        };
+
+        // Flows 5, 3 and 2 (rows allocated in that order) each hold one
+        // unit on v1→v2.
+        for f in [5, 3, 2] {
+            state.uib.update(FlowId(f), |e| {
+                e.uim_version = Version(1);
+                e.applied_version = Version(1);
+                e.applied_distance = 1;
+                e.old_version = Version(1);
+                e.old_distance = 1;
+                e.active_next_hop = Some(NodeId(2));
+                e.flow_size = 1.0;
+            });
+            assert!(state.reserve_capacity(NodeId(2), 1.0));
+        }
+        // A high-priority flow waits for v1→v3, so low-priority moves
+        // onto that link yield to it.
+        state
+            .uib
+            .update(FlowId(9), |e| e.priority = FlowPriority::High);
+        logic.scheduler.park(NodeId(3), FlowId(9));
+        // Flows 5 and 2 stage a move to v3 and are parked there; flow 3
+        // keeps its rule.
+        for f in [5, 2] {
+            logic.on_control(
+                SimTime::ZERO,
+                &mut state,
+                Endpoint::Controller,
+                uim(f, 2, 1, Some(3), Some(0)),
+                &mut out,
+            );
+            logic.on_control(
+                SimTime::ZERO,
+                &mut state,
+                Endpoint::Switch(NodeId(3)),
+                Message::Unm(unm(f)),
+                &mut out,
+            );
+        }
+        assert!(out.is_empty(), "both moves yield: {out:?}");
+        assert_eq!(logic.blocked_flows(), vec![FlowId(2), FlowId(5)]);
+
+        // Flow 7 (size 8) cannot fit the 7 units left on v1→v2.
+        logic.on_control(
+            SimTime::ZERO,
+            &mut state,
+            Endpoint::Controller,
+            Message::Uim(Uim {
+                flow: FlowId(7),
+                version: Version(2),
+                new_distance: 1,
+                flow_size: 8.0,
+                next_hop: Some(NodeId(2)),
+                upstream: Some(NodeId(0)),
+                kind: UpdateKind::Single,
+            }),
+            &mut out,
+        );
+        logic.on_control(
+            SimTime::ZERO,
+            &mut state,
+            Endpoint::Switch(NodeId(2)),
+            Message::Unm(unm(7)),
+            &mut out,
+        );
+
+        let priority = |f: u32| state.uib.read(FlowId(f)).priority;
+        assert_eq!(priority(2), FlowPriority::High);
+        assert_eq!(priority(5), FlowPriority::High);
+        assert_eq!(priority(3), FlowPriority::Low);
+        let retried: Vec<FlowId> = out
+            .iter()
+            .map(|e| match e {
+                Effect::BeginInstall { flow, .. } => *flow,
+                other => panic!("unexpected effect {other:?}"),
+            })
+            .collect();
+        assert_eq!(retried, vec![FlowId(2), FlowId(5)]);
+        assert_eq!(logic.blocked_flows(), vec![FlowId(7)]);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use p4update_sim::{
     simulation, Event, NetworkSim, PathTables, SimConfig, StreamingMetrics, System, TimingConfig,
 };
 use p4update_traffic::Workload;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -229,20 +230,17 @@ fn run_once(
     let (events, peak) = (sim.events_delivered(), sim.peak_queue_depth());
     let mut world = sim.into_world();
     let stranded = world.record_stranded_flows().len() as u64;
-    let flows: Vec<FlowId> = workload.updates.iter().map(|u| u.flow).collect();
-    let mut fct_ms = Vec::with_capacity(flows.len());
-    for &f in &flows {
-        let t = world
-            .sink()
-            .completions()
-            .iter()
-            .filter(|&&(_, g, _)| g == f)
-            .map(|&(t, _, _)| t)
-            .max();
-        if let Some(t) = t {
-            fct_ms.push(t.as_millis_f64());
-        }
+    let mut latest: BTreeMap<FlowId, SimTime> = BTreeMap::new();
+    for &(t, f, _) in world.sink().completions() {
+        let last = latest.entry(f).or_insert(t);
+        *last = (*last).max(t);
     }
+    let fct_ms: Vec<f64> = workload
+        .updates
+        .iter()
+        .filter_map(|u| latest.get(&u.flow))
+        .map(|t| t.as_millis_f64())
+        .collect();
     RunMeasure {
         events,
         peak,

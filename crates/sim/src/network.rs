@@ -478,18 +478,18 @@ impl NetworkSim {
                 *expected.entry(u.flow).or_insert(0) += 1;
             }
         }
-        let mut stranded = Vec::new();
-        for (&flow, &want) in &expected {
-            let got = self
-                .sink
-                .completions()
-                .iter()
-                .filter(|&&(_, f, _)| f == flow)
-                .count() as u64;
-            if got < want {
-                stranded.push(flow);
-                self.sink.record_stranded(flow);
+        for &(_, flow, _) in self.sink.completions() {
+            if let Some(want) = expected.get_mut(&flow) {
+                *want = want.saturating_sub(1);
             }
+        }
+        let stranded: Vec<FlowId> = expected
+            .into_iter()
+            .filter(|&(_, missing)| missing > 0)
+            .map(|(flow, _)| flow)
+            .collect();
+        for &flow in &stranded {
+            self.sink.record_stranded(flow);
         }
         stranded
     }
@@ -1372,6 +1372,23 @@ mod tests {
         assert_eq!(pkt.seq, 7);
         // 3 hops of 20 ms plus processing.
         assert!(t.as_millis_f64() > 60.0 && t.as_millis_f64() < 70.0, "{t}");
+    }
+
+    /// A flow is stranded when it was scheduled more often than it
+    /// completed: twice with one completion is, twice with two is not.
+    #[test]
+    fn stranded_flows_count_completions_per_schedule() {
+        let mut sim = basic_sim(System::P4Update(Strategy::Auto));
+        let new = Path::new(topologies::fig1_new_path());
+        let update = |f: u32| FlowUpdate::new(FlowId(f), None, new.clone(), 1.0);
+        sim.add_batch(vec![update(3), update(1), update(0)]);
+        sim.add_batch(vec![update(1), update(3)]);
+        let t = SimTime::ZERO + SimDuration::from_millis(5);
+        sim.sink.record_completion(t, FlowId(1), Version(1));
+        sim.sink.record_completion(t, FlowId(3), Version(1));
+        sim.sink.record_completion(t, FlowId(1), Version(2));
+        assert_eq!(sim.record_stranded_flows(), vec![FlowId(0), FlowId(3)]);
+        assert_eq!(sim.sink().stranded(), &[FlowId(0), FlowId(3)]);
     }
 
     #[test]
